@@ -4,28 +4,32 @@
 // outsourcing strategies for an oversubscribed blockserver fleet (the
 // experiment behind Figures 9 and 10).
 //
-// Act 2 — the serving path itself: two real LeptonServer instances come up
-// on local sockets, real conversions route through them with per-request
-// deadlines, and a conversion that blows its time box is requeued on the
-// second server (§6.6: "timeouts ... the chunk is then requeued; a second
-// server will attempt the conversion with a longer window"). This is the
-// wiring the simulator only models: session deadlines -> kTimeout trailers
-// -> fleet requeue, with per-request TTFB/bytes/exit-code stats.
+// Act 2 — the serving path itself: two real event-plane servers come up on
+// local sockets, real conversions route through a FleetClient with
+// per-request deadlines, and a conversion that blows its time box is
+// requeued on the second server (§6.6: "timeouts ... the chunk is then
+// requeued; a second server will attempt the conversion with a longer
+// window"). This is the wiring the simulator only models: session deadlines
+// -> kTimeout trailers -> fleet requeue, with per-request TTFB/bytes/
+// exit-code stats.
 //
 // Act 3 — the daemon fleet: three event-plane TCP daemons (the leptond
 // connection plane) on local ports, one of them kill-switched and one
-// endpoint pointing at nothing, served through health-checked requeue —
-// probes route traffic around the dead and refusing members.
+// endpoint pointing at nothing, served through a FleetClient that probes
+// once before traffic — the probe routes traffic around the dead and
+// refusing members.
 #include <unistd.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "corpus/corpus.h"
 #include "lepton/context.h"
 #include "leptond/event_server.h"
-#include "server/server.h"
 #include "storage/fleet.h"
+#include "storage/fleet_client.h"
 #include "util/exit_codes.h"
 
 using namespace lepton::storage;
@@ -35,6 +39,20 @@ namespace {
 std::string code_name(unsigned c) {
   return std::string(
       lepton::util::exit_code_name(static_cast<lepton::util::ExitCode>(c)));
+}
+
+std::unique_ptr<lepton::leptond::EventServer> start_server(
+    const std::string& listen, lepton::CodecContext* ctx) {
+  lepton::leptond::EventServerConfig ec;
+  ec.listen = listen;
+  ec.workers = 2;
+  auto srv = std::make_unique<lepton::leptond::EventServer>(std::move(ec), ctx);
+  if (!srv->start()) {
+    std::fprintf(stderr, "cannot listen on %s: %s\n", listen.c_str(),
+                 srv->last_error().c_str());
+    return nullptr;
+  }
+  return srv;
 }
 
 void act1_simulated_outsourcing() {
@@ -75,16 +93,11 @@ int act2_real_requeue() {
   // Two compression servers sharing one warm CodecContext, like two
   // daemons on one box would share nothing but the hardware.
   lepton::CodecContext ctx(4);
-  std::string base = "/tmp/lepton_fleet_example_" +
+  std::string base = "unix:/tmp/lepton_fleet_example_" +
                      std::to_string(static_cast<long>(::getpid()));
-  lepton::server::ServerConfig c1, c2;
-  c1.socket_path = base + "_a.sock";
-  c2.socket_path = base + "_b.sock";
-  lepton::server::LeptonServer s1(c1, &ctx), s2(c2, &ctx);
-  if (!s1.start() || !s2.start()) {
-    std::fprintf(stderr, "cannot start servers\n");
-    return 1;
-  }
+  auto s1 = start_server(base + "_a.sock", &ctx);
+  auto s2 = start_server(base + "_b.sock", &ctx);
+  if (!s1 || !s2) return 1;
 
   // A handful of real JPEGs, large enough that an aggressive first-attempt
   // deadline trips mid-conversion.
@@ -93,17 +106,24 @@ int act2_real_requeue() {
     files.push_back(lepton::corpus::jpeg_of_size(160 << 10, 7000 + i));
   }
 
-  RequeueConfig rq;
-  rq.endpoints = {s1.socket_path(), s2.socket_path()};
-  rq.op = FleetOp::kEncode;
-  rq.first_deadline = std::chrono::milliseconds(4);   // §6.6: tight window
-  rq.retry_deadline = std::chrono::milliseconds(0);   // requeue is patient
-  auto m = run_fleet_requeue(rq, files);
+  FleetClientConfig fc;
+  fc.endpoints = {s1->bound_address(), s2->bound_address()};
+  fc.first_deadline = std::chrono::milliseconds(4);   // §6.6: tight window
+  fc.retry_deadline = std::chrono::milliseconds(0);   // requeue is patient
+  fc.max_attempts = 2;
+  fc.backoff_base = std::chrono::milliseconds(0);
+  fc.least_in_flight = false;  // uniform, like the load balancers (§5.5)
+  FleetClient fleet(fc);
+  std::vector<RequestTrace> traces;
+  for (const auto& f : files) {
+    traces.push_back(fleet.convert(FleetOp::kEncode, f));
+  }
+  auto m = fleet.metrics();
 
   std::printf("%-8s %9s %8s %-14s %-14s %9s %9s\n", "request", "bytes",
               "attempts", "first code", "final code", "ttfb ms", "total ms");
-  for (std::size_t i = 0; i < m.traces.size(); ++i) {
-    const auto& t = m.traces[i];
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const auto& t = traces[i];
     std::printf("%-8zu %9llu %8d %-14s %-14s %9.1f %9.1f\n", i,
                 static_cast<unsigned long long>(t.bytes_in), t.attempts,
                 code_name(static_cast<unsigned>(t.first_code)).c_str(),
@@ -123,8 +143,8 @@ int act2_real_requeue() {
   std::printf("latency (s):         %s\n",
               lepton::util::format_percentiles(m.latency_s).c_str());
 
-  auto stats = s1.stats();
-  auto stats2 = s2.stats();
+  auto stats = s1->stats();
+  auto stats2 = s2->stats();
   std::printf("server a: %llu requests, %llu bytes out; server b: %llu "
               "requests, %llu bytes out\n",
               static_cast<unsigned long long>(stats.requests),
@@ -132,8 +152,8 @@ int act2_real_requeue() {
               static_cast<unsigned long long>(stats2.requests),
               static_cast<unsigned long long>(stats2.bytes_out));
 
-  s1.stop();
-  s2.stop();
+  s1->stop();
+  s2->stop();
   if (m.succeeded != m.requests) {
     std::fprintf(stderr, "expected every request to convert after requeue\n");
     return 1;
@@ -148,19 +168,12 @@ int act3_tcp_daemon_fleet() {
   std::printf("\nact 3: health-checked requeue over a TCP daemon fleet\n\n");
 
   lepton::CodecContext ctx(4);
-  auto make = [&ctx](lepton::leptond::EventServer*& out) {
-    lepton::leptond::EventServerConfig ec;
-    ec.listen = "tcp:127.0.0.1:0";  // ephemeral port, read back after start
-    ec.workers = 2;
-    out = new lepton::leptond::EventServer(std::move(ec), &ctx);
-    return out->start();
-  };
-  lepton::leptond::EventServer *d1 = nullptr, *d2 = nullptr, *d3 = nullptr;
-  if (!make(d1) || !make(d2) || !make(d3)) {
-    std::fprintf(stderr, "cannot start daemons\n");
-    return 1;
-  }
-  // Daemon 3 is kill-switched: it answers PING (shutoff engaged in the
+  // Ephemeral ports, read back after start.
+  auto d1 = start_server("tcp:127.0.0.1:0", &ctx);
+  auto d2 = start_server("tcp:127.0.0.1:0", &ctx);
+  auto d3 = start_server("tcp:127.0.0.1:0", &ctx);
+  if (!d1 || !d2 || !d3) return 1;
+  // Daemon 3 is kill-switched: it answers probes (shutoff engaged in the
   // trailer) but would refuse every encode.
   d3->service().store()->set_shutoff(true);
 
@@ -169,14 +182,20 @@ int act3_tcp_daemon_fleet() {
     files.push_back(lepton::corpus::jpeg_of_size(96 << 10, 9000 + i));
   }
 
-  RequeueConfig rq;
-  rq.endpoints = {d1->bound_address(), d2->bound_address(),
+  // One probe pass before traffic demotes the dead endpoint (one transport
+  // failure opens its breaker) and the kill-switched one (the STATS
+  // trailer's shutoff flag); the cooldown outlasts the act.
+  FleetClientConfig fc;
+  fc.endpoints = {d1->bound_address(), d2->bound_address(),
                   d3->bound_address(),
                   "tcp:127.0.0.1:9"};  // nobody listens here
-  rq.op = FleetOp::kEncode;
-  rq.first_deadline = std::chrono::milliseconds(0);
-  rq.health_check = true;
-  auto m = run_fleet_requeue(rq, files);
+  fc.first_deadline = std::chrono::milliseconds(0);
+  fc.breaker_threshold = 1;
+  fc.breaker_cooldown = std::chrono::minutes(10);
+  FleetClient fleet(fc);
+  fleet.probe_now();
+  for (const auto& f : files) (void)fleet.convert(FleetOp::kEncode, f);
+  auto m = fleet.metrics();
 
   std::printf("endpoints: 2 healthy, 1 kill-switched, 1 dead\n");
   std::printf("probes=%llu demoted=%llu requests=%llu requeues=%llu "
@@ -196,11 +215,7 @@ int act3_tcp_daemon_fleet() {
   d1->stop();
   d2->stop();
   d3->stop();
-  bool routed_clean = m.succeeded == m.requests && sc.requests == 0;
-  delete d1;
-  delete d2;
-  delete d3;
-  if (!routed_clean) {
+  if (m.succeeded != m.requests || sc.requests != 0) {
     std::fprintf(stderr,
                  "expected all conversions on the two healthy daemons\n");
     return 1;

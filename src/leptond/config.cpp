@@ -64,11 +64,6 @@ bool apply_option(DaemonConfig* cfg, const std::string& key,
     cfg->listen = value;
     return true;
   }
-  if (key == "plane") {
-    if (value != "event" && value != "thread") return bad("bad value");
-    cfg->plane = value;
-    return true;
-  }
   if (key == "workers") {
     if (!parse_int(value, &cfg->workers) || cfg->workers < 1) {
       return bad("bad value");
@@ -255,7 +250,6 @@ std::string usage_text() {
       "  --config FILE          key=value config file (flags override it)\n"
       "  --listen ENDPOINT      tcp:host:port | unix:/path (default "
       "tcp:127.0.0.1:2929)\n"
-      "  --plane event|thread   connection plane (default event)\n"
       "  --workers N            event-plane worker pool size (default 4)\n"
       "  --codec-threads N      CodecContext pool threads (0 = default)\n"
       "  --max-in-flight N      admission bound (default 4)\n"

@@ -13,7 +13,6 @@ namespace lepton::leptond {
 struct DaemonConfig {
   std::string config_file;           // --config (read before other flags)
   std::string listen = "tcp:127.0.0.1:2929";
-  std::string plane = "event";       // "event" (epoll + pool) or "thread"
   int workers = 4;                   // event plane's fixed worker pool
   int codec_threads = 0;             // CodecContext pool size; 0 = default
   int max_in_flight = 4;

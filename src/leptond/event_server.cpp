@@ -348,8 +348,8 @@ void EventServer::sweep_idle() {
       }
     }
   }
-  // Parity with the thread plane: an idle (or header-dribbling) timeout is
-  // a silent close, not a recorded protocol error.
+  // An idle (or header-dribbling) timeout is a silent close, not a
+  // recorded protocol error.
   for (EConn* c : expired) close_conn(c);
 }
 

@@ -1,27 +1,42 @@
 // Event-driven connection plane for the Lepton daemon (§6 deployment).
 //
 // The production fleet holds thousands of long-lived blockserver
-// connections per daemon, almost all idle at any instant. PR 5's
-// thread-per-connection LeptonServer prices an idle connection at a
-// parked thread; this plane prices it at a registered epoll fd:
+// connections per daemon, almost all idle at any instant. A thread-per-
+// connection server would price an idle connection at a parked thread;
+// this plane prices it at a registered epoll fd:
 //
 //   * one event-loop thread owns every connection fd (nonblocking) plus
 //     the listener; it buffers bytes toward each connection's next
 //     request-open frame (8-byte header + <=64-byte control payload);
 //   * when — and only when — a complete open frame is buffered, the
 //     connection is removed from the loop and dispatched to one of a
-//     fixed pool of worker threads, which runs the shared RequestService
-//     path exactly as the thread plane does (blocking body reads under
-//     the PR 5 wall budget, blocking response writes under the send
-//     timeout), then hands the fd back to the loop for the next request;
+//     fixed pool of worker threads, which runs the RequestService path
+//     (blocking body reads under the wall budget, blocking response
+//     writes under the send timeout), then hands the fd back to the loop
+//     for the next request;
 //   * admission, deadlines, backpressure, slow-loris defense, kill-switch
-//     and stats are RequestService's, byte-identical across planes.
+//     and stats are RequestService's (server/service.h).
 //
 // So a slow-loris client dribbling a *header* holds a 72-byte buffer in
 // the loop (reaped by the idle sweep), not a worker; a client dribbling a
-// *body* holds a worker bounded by the wall budget, same as PR 5; and a
-// thousand idle keep-alive connections hold zero threads beyond the fixed
-// pool — the connection-scaling property tests/leptond_test.cpp asserts.
+// *body* holds a worker bounded by the wall budget; and a thousand idle
+// keep-alive connections hold zero threads beyond the fixed pool — the
+// connection-scaling property tests/leptond_test.cpp asserts.
+//
+// It is the only connection plane: leptond runs it, and embedders use it
+// directly over either transport:
+//
+//   lepton::TransparentStore store;            // kill-switch authority
+//   lepton::leptond::EventServerConfig cfg;
+//   cfg.listen = "unix:/run/lepton.sock";      // or "tcp:127.0.0.1:2929"
+//   cfg.service.store = &store;
+//   lepton::leptond::EventServer srv(std::move(cfg));  // + optional ctx
+//   srv.start();                               // loop + worker pool
+//   ...
+//   srv.stop();                                // drain in-flight, join
+//
+// docs/PROTOCOL.md is the wire contract; docs/OPERATIONS.md is the
+// operator's guide.
 #pragma once
 
 #include <atomic>

@@ -5,9 +5,9 @@
 // socket, the server streams converted bytes back, and a trailer carries
 // the §6.2 exit code so the caller can admit, retry on a second server, or
 // fall back to Deflate. This header is the single definition of that wire
-// format — server.cpp, client.cpp, the fleet requeue path and the hostile-
-// client tests all compile against it, and docs/PROTOCOL.md documents it
-// byte for byte (keep them in lockstep).
+// format — service.cpp, client.cpp, FleetClient and the hostile-client
+// tests all compile against it, and docs/PROTOCOL.md documents it byte for
+// byte (keep them in lockstep).
 //
 // Every message is a *frame*: an 8-byte little-endian header followed by
 // `length` payload bytes. A request is an open frame (ENCODE/DECODE with a

@@ -306,21 +306,6 @@ bool RequestService::serve_frame(ServiceConn& c,
     return false;
   }
 
-  // Control payload: pre-read by the event plane (passed in), read here by
-  // the thread plane (which leaves the idle recv timeout armed on c.fd).
-  std::uint8_t ctl_buf[kMaxControlFrame];
-  const std::uint8_t* ctl = payload;
-  const bool needs_payload = fh.type == FrameType::kShutoff ||
-                             fh.type == FrameType::kEncode ||
-                             fh.type == FrameType::kDecode;
-  if (needs_payload && ctl == nullptr) {
-    if (fh.length > kMaxControlFrame ||
-        read_exact(c.fd, ctl_buf, fh.length) != ReadStatus::kOk) {
-      return false;
-    }
-    ctl = ctl_buf;
-  }
-
   switch (fh.type) {
     case FrameType::kPing: {
       return fh.length == 0 &&
@@ -332,7 +317,7 @@ bool RequestService::serve_frame(ServiceConn& c,
     }
     case FrameType::kShutoff: {
       if (fh.length != 1) return false;
-      auto op = static_cast<ShutoffOp>(ctl[0]);
+      auto op = static_cast<ShutoffOp>(payload[0]);
       if (op == ShutoffOp::kEngage) store_->set_shutoff(true);
       if (op == ShutoffOp::kClear) store_->set_shutoff(false);
       // Every SHUTOFF answer re-stats the shutoff file (bypassing the
@@ -342,7 +327,7 @@ bool RequestService::serve_frame(ServiceConn& c,
     }
     case FrameType::kEncode:
     case FrameType::kDecode: {
-      return serve_request(c, hdr[0], ctl, fh.length);
+      return serve_request(c, hdr[0], payload, fh.length);
     }
     default: {
       // DATA/END/TRAILER outside a request: protocol violation.

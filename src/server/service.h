@@ -1,18 +1,15 @@
 // Transport-independent request service for the Lepton protocol (§5, §6.6).
 //
-// PR 5's LeptonServer fused two things: a *connection plane* (accept
-// thread, one thread per connection) and the *request semantics* (frame
+// A server has two halves: a *connection plane* (accepting and scheduling
+// connections — leptond/event_server.h) and the *request semantics* (frame
 // switch, admission bound, deadlines, body wall budget, kill-switch,
-// stats, trailer discipline). The daemon's event-driven plane
-// (leptond/event_server.h) needs the second half verbatim — the PR 5
-// hostile-client suite is the contract — so it lives here, once.
-// RequestService knows nothing about how connections are accepted,
-// scheduled, or torn down; a plane hands it a connection fd plus the
-// request's open frame and gets back "keep this connection or close it".
+// stats, trailer discipline). The second half lives here. RequestService
+// knows nothing about how connections are accepted, scheduled, or torn
+// down; the plane hands it a connection fd plus the request's open frame
+// and gets back "keep this connection or close it".
 //
-// The split is the reason cross-transport byte-identity holds by
-// construction: AF_UNIX thread-per-connection, TCP thread-per-connection
-// and TCP epoll all execute the same serve_frame.
+// The split is why cross-transport byte-identity holds by construction:
+// AF_UNIX and TCP connections execute the same serve_frame.
 #pragma once
 
 #include <atomic>
@@ -48,9 +45,13 @@ struct ServiceConfig {
   // Total request-body cap (sum of DATA payloads).
   std::uint64_t max_body_bytes = 6u << 20;
 
-  // Idle window between requests, absolute wall budget for one request
-  // body, and the send timeout on responses (server.h documents the
-  // three-in-one-knob rationale).
+  // Three bounds in one knob: (a) how long a connection may sit idle
+  // between requests; (b) the *wall-clock* budget for reading one request
+  // body — absolute, not per-read, so a one-byte-per-interval dribble
+  // cannot re-arm it forever while holding an admission slot (a request
+  // with a tighter deadline uses that instead); (c) the send timeout on
+  // response writes, so a client that stops reading is disconnected
+  // rather than wedging its worker.
   std::chrono::milliseconds idle_read_timeout{30000};
 
   // Kill-switch authority (§5.7); when null the service owns a private
@@ -146,14 +147,13 @@ class RequestService {
     return draining_.load(std::memory_order_acquire);
   }
 
-  // ---- the one request path both planes share ----
-  // Serves one request whose 8-byte open-frame header `hdr` the plane has
-  // already read from c.fd. `payload` is the control payload when the
-  // plane pre-read it (event plane buffers header+payload before
-  // dispatching); nullptr means "read it from c.fd" (thread plane, which
-  // leaves the idle recv timeout armed). The request body, when the frame
-  // opens one, is always read from c.fd here, under the PR 5 wall budget.
-  // Returns true iff the connection may carry another request.
+  // ---- the request path ----
+  // Serves one request whose open frame the plane has already read from
+  // c.fd: the 8-byte header `hdr` plus, for ENCODE/DECODE/SHUTOFF, its
+  // control payload `payload` (header-declared length, <= kMaxControlFrame;
+  // unused for other frame types). The request body, when the frame opens
+  // one, is read from c.fd here, under the wall budget. Returns true iff
+  // the connection may carry another request.
   bool serve_frame(ServiceConn& c, const std::uint8_t hdr[kFrameHeaderSize],
                    const std::uint8_t* payload);
 

@@ -1,11 +1,11 @@
 // Blocking-socket I/O helpers shared by the serving stack (internal).
 //
-// Both connection planes and the request service read frames with the same
+// The event plane and the request service read frames with the same
 // discipline: exact-length reads, EINTR retried, a clean pre-first-byte
 // close distinguished from a mid-frame truncation, and — for request
 // bodies — an *absolute* wall budget re-armed onto SO_RCVTIMEO before
 // every recv, because per-read inactivity timeouts alone are gameable by
-// dribbling one byte per interval (the slow-loris hole PR 5 closed).
+// dribbling one byte per interval (the slow-loris hole).
 #pragma once
 
 #include <fcntl.h>

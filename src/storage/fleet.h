@@ -9,17 +9,15 @@
 // other blockserver, power-of-two-choices style), and To-Dedicated (a
 // separate Lepton-only cluster), with outsourcing triggered when local
 // concurrent conversions exceed a threshold (3 or 4), at a 7.9% transport
-// overhead.
+// overhead. This file only models latencies; the live §6.6 router over real
+// daemons is FleetClient (fleet_client.h).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "storage/event_sim.h"
 #include "storage/workload.h"
-#include "util/exit_codes.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -62,93 +60,5 @@ struct FleetMetrics {
 // behind Figures 9 and 10.
 FleetMetrics simulate_fleet(const FleetConfig& cfg, const WorkloadModel& wl,
                             double days);
-
-// ---- §6.6 timeout -> requeue over real servers ------------------------------
-//
-// The simulator above models latencies; this path drives *real* conversions
-// through a fleet of LeptonServer instances (server/server.h) and
-// reproduces the paper's §6.6 contract: a conversion that exceeds its
-// timeout window is abandoned (the server's session aborts as kTimeout at
-// its next MCU-row poll) and the request is requeued on a *different*
-// server, normally with a more generous budget. Requests route uniformly at
-// random, like the production load balancers (§5.5).
-
-enum class FleetOp { kEncode, kDecode };
-
-struct RequeueConfig {
-  // Fleet endpoints, one per serving daemon: "unix:/path", a bare socket
-  // path, or "tcp:host:port" (server/endpoint.h) — a multi-port leptond
-  // fleet is just a vector of tcp: endpoints.
-  std::vector<std::string> endpoints;
-  FleetOp op = FleetOp::kEncode;
-  // Deadline for the first attempt; 0 = none.
-  std::chrono::milliseconds first_deadline{100};
-  // Deadline for requeued attempts; 0 = none (the paper's requeue pipeline
-  // is the patient path — the file must eventually convert or classify).
-  std::chrono::milliseconds retry_deadline{0};
-  // First try + requeues. 2 is the paper's timeout -> second-server shape.
-  int max_attempts = 2;
-  // Health-checked routing: ping-probe every endpoint up front, route and
-  // requeue among the healthy only, and demote an endpoint the moment an
-  // attempt against it fails at the transport level. For encode ops a
-  // kill-switched server (shutoff engaged in the PING trailer) counts as
-  // unhealthy — it would refuse the encode anyway. When every endpoint is
-  // unhealthy the router falls back to the full list (a blind attempt
-  // beats a guaranteed local failure). Off by default: the legacy path is
-  // byte-identical, probe-free routing.
-  bool health_check = false;
-  std::chrono::milliseconds health_timeout{250};  // per-probe transport cap
-  std::uint64_t seed = 66;  // §6.6
-};
-
-// Per-request record, in input order (tests verify byte-identity and the
-// first-timeout/second-success shape from these).
-struct RequestTrace {
-  int attempts = 0;
-  int first_server = -1;
-  int final_server = -1;
-  util::ExitCode first_code = util::ExitCode::kSuccess;
-  util::ExitCode final_code = util::ExitCode::kSuccess;
-  double ttfb_s = 0;    // of the final attempt
-  double total_s = 0;   // sum over attempts (what the user waited)
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::vector<std::uint8_t> data;  // final response body (empty on failure)
-};
-
-struct RequeueMetrics {
-  std::uint64_t requests = 0;
-  std::uint64_t requeues = 0;            // attempts beyond the first
-  std::uint64_t succeeded = 0;
-  std::uint64_t transport_failures = 0;  // connect/IO-level attempt failures
-  std::uint64_t health_probes = 0;       // PINGs issued (health_check only)
-  std::uint64_t unhealthy_endpoints = 0; // endpoints demoted by probe/attempt
-  // Self-healing client counters (FleetClient below; always zero under
-  // run_fleet_requeue, which predates breakers).
-  std::uint64_t breaker_opens = 0;       // closed/half-open -> open
-  std::uint64_t breaker_closes = 0;      // half-open probe succeeded
-  std::uint64_t half_open_probes = 0;    // requests routed as breaker probes
-  std::uint64_t breaker_fast_fails = 0;  // refused: every breaker open
-  std::uint64_t backoff_retries = 0;     // retries that slept a backoff
-  double backoff_wait_s = 0;             // total backoff sleep
-  std::uint64_t passthrough_fallbacks = 0;  // puts degraded to pass-through
-  util::CodeTally first_attempt_codes;   // §6.2 tally of attempt #1
-  util::CodeTally final_codes;           // §6.2 tally after requeueing
-  util::Percentiles ttfb_s;
-  util::Percentiles latency_s;           // end-to-end, retries included
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::vector<RequestTrace> traces;
-};
-
-// Routes each body through the fleet with the §6.6 requeue rule: requeue
-// on server-local failures — kTimeout, kServerShutdown (draining or
-// kill-switched machine), or a transport failure — never on a content
-// classification (a progressive JPEG is progressive on every server).
-// Serial by design — the per-request stats stay attributable and the run
-// is reproducible.
-RequeueMetrics run_fleet_requeue(
-    const RequeueConfig& cfg,
-    const std::vector<std::vector<std::uint8_t>>& bodies);
 
 }  // namespace lepton::storage

@@ -165,7 +165,8 @@ int FleetClient::probe_now() {
   return static_cast<int>(jobs.size());
 }
 
-int FleetClient::pick_locked(std::chrono::steady_clock::time_point now) {
+int FleetClient::pick_locked(std::chrono::steady_clock::time_point now,
+                             int exclude) {
   // Cooldowns that have elapsed make their breakers probe-able.
   for (Peer& p : peers_) {
     if (p.state == BreakerState::kOpen && now >= p.open_until) {
@@ -175,7 +176,10 @@ int FleetClient::pick_locked(std::chrono::steady_clock::time_point now) {
   }
   std::vector<std::size_t> closed;
   for (std::size_t i = 0; i < peers_.size(); ++i) {
-    if (peers_[i].state == BreakerState::kClosed) closed.push_back(i);
+    if (peers_[i].state == BreakerState::kClosed &&
+        static_cast<int>(i) != exclude) {
+      closed.push_back(i);
+    }
   }
   if (!closed.empty()) {
     if (!cfg_.least_in_flight) {
@@ -199,13 +203,15 @@ int FleetClient::pick_locked(std::chrono::steady_clock::time_point now) {
   // No closed breaker: one half-open probe request may go through.
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     Peer& p = peers_[i];
-    if (p.state == BreakerState::kHalfOpen && !p.half_open_busy) {
+    if (p.state == BreakerState::kHalfOpen && !p.half_open_busy &&
+        static_cast<int>(i) != exclude) {
       p.half_open_busy = true;
       ++metrics_.half_open_probes;
       return static_cast<int>(i);
     }
   }
-  return -1;
+  // Nothing else is routable: retry in place (a one-endpoint fleet).
+  return exclude >= 0 ? pick_locked(now, -1) : -1;
 }
 
 void FleetClient::record_success_locked(std::size_t ix) {
@@ -245,13 +251,13 @@ RequestTrace FleetClient::convert(FleetOp op,
     ++metrics_.requests;
   }
 
+  int failed = -1;  // the endpoint of the attempt that just failed
   for (int attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
     int ix;
-    bool probe_request = false;
+    std::string endpoint;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      const std::uint64_t probes_before = metrics_.half_open_probes;
-      ix = pick_locked(std::chrono::steady_clock::now());
+      ix = pick_locked(std::chrono::steady_clock::now(), failed);
       if (ix < 0) {
         // Breaker set exhausted: fail fast in the §6.6 server-local class
         // so callers degrade (put() goes pass-through) instead of waiting
@@ -265,18 +271,14 @@ RequestTrace FleetClient::convert(FleetOp op,
         tr.final_code = ExitCode::kServerShutdown;
         break;
       }
-      probe_request = metrics_.half_open_probes != probes_before;
-      ++peers_[static_cast<std::size_t>(ix)].local_outstanding;
+      Peer& p = peers_[static_cast<std::size_t>(ix)];
+      ++p.local_outstanding;
+      endpoint = p.endpoint;
     }
-    (void)probe_request;
 
-    std::string endpoint;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      endpoint = peers_[static_cast<std::size_t>(ix)].endpoint;
-    }
-    // Fresh connection per attempt, as in run_fleet_requeue: the server
-    // closes after every non-success trailer.
+    // Fresh connection per attempt: the server closes after every
+    // non-success trailer, and a requeue must not depend on the state of
+    // the connection the failed attempt died on.
     auto cli = server::LeptonClient::connect(endpoint);
     server::RequestOptions opts;
     opts.deadline = attempt == 0 ? cfg_.first_deadline : cfg_.retry_deadline;
@@ -322,6 +324,7 @@ RequestTrace FleetClient::convert(FleetOp op,
         done = true;
       } else {
         done = false;
+        failed = ix;
         ++metrics_.requeues;
         // Exponential backoff with full jitter over the upper half:
         // retry k sleeps in [d/2, d], d = min(cap, base * 2^(k-1)).

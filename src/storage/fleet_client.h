@@ -1,9 +1,12 @@
-// Self-healing fleet client (§6 deployment, ROADMAP item 3).
+// Self-healing fleet client: the §6.6 router over a fleet of Lepton daemons
+// (§6 deployment).
 //
-// run_fleet_requeue (fleet.h) is a per-call router: it probes once, routes
-// uniformly at random, and allows one requeue. FleetClient is the
-// persistent promotion of that path — the object a blockserver keeps for
-// the life of the process:
+// FleetClient is the object a blockserver keeps for the life of the
+// process. It routes each conversion to a daemon, and a conversion that
+// fails for a server-local reason (blown time box, dead transport, draining
+// or kill-switched machine) is requeued on a *different* daemon whenever
+// another one is routable — with one endpoint it retries in place. Around
+// that rule:
 //
 //   * a background prober re-pings every endpoint on an interval with
 //     jitter, so recovery is discovered without waiting for a request to
@@ -12,15 +15,18 @@
 //     transport failures -> half-open after a cooldown, where exactly one
 //     probe request (or a prober PING) is allowed through — success closes
 //     the breaker, failure re-opens it;
-//   * retry budgets with exponential backoff + jitter between attempts,
-//     replacing the bare "one requeue" rule;
+//   * retry budgets with exponential backoff + jitter between attempts;
 //   * least-in-flight routing fed by STATS polling (the daemon's
-//     `in_flight` key) plus locally outstanding requests, instead of
-//     uniform random;
+//     `in_flight` key) plus locally outstanding requests, or seeded
+//     uniform routing like the production load balancers (§5.5);
 //   * graceful degradation: put() admits via the §5.7 round-trip gate when
 //     the fleet converts, and stores the original bytes pass-through
 //     (StorageKind::kPassthrough) when it cannot — a fleet-wide outage
 //     costs compression ratio, never durability or availability.
+//
+// Health-checked routing is one probe_now() before traffic: its STATS poll
+// opens the breaker of a dead endpoint (threshold permitting) and of a
+// kill-switched one (the trailer's shutoff flag) for encode fleets.
 //
 // Determinism: all routing/jitter randomness draws from one seeded Rng, so
 // a chaos run (tests/fault_test.cpp, examples/chaos_fleet.cpp) replays
@@ -37,23 +43,69 @@
 #include <vector>
 
 #include "lepton/store.h"
-#include "storage/fleet.h"
+#include "util/exit_codes.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace lepton::storage {
+
+enum class FleetOp { kEncode, kDecode };
+
+// Per-request record (tests verify byte-identity and the first-timeout/
+// second-success shape from these).
+struct RequestTrace {
+  int attempts = 0;
+  int first_server = -1;
+  int final_server = -1;
+  util::ExitCode first_code = util::ExitCode::kSuccess;
+  util::ExitCode final_code = util::ExitCode::kSuccess;
+  double ttfb_s = 0;    // of the final attempt
+  double total_s = 0;   // sum over attempts and backoffs (what the user waited)
+  std::uint64_t bytes_in = 0;
+  std::uint64_t bytes_out = 0;
+  std::vector<std::uint8_t> data;  // final response body (empty on failure)
+};
+
+struct RequeueMetrics {
+  std::uint64_t requests = 0;
+  std::uint64_t requeues = 0;            // attempts beyond the first
+  std::uint64_t succeeded = 0;
+  std::uint64_t transport_failures = 0;  // connect/IO-level attempt failures
+  std::uint64_t health_probes = 0;       // prober PINGs + STATS polls issued
+  std::uint64_t unhealthy_endpoints = 0; // demotions: dead or kill-switched
+  std::uint64_t breaker_opens = 0;       // closed/half-open -> open
+  std::uint64_t breaker_closes = 0;      // half-open probe succeeded
+  std::uint64_t half_open_probes = 0;    // requests routed as breaker probes
+  std::uint64_t breaker_fast_fails = 0;  // refused: every breaker open
+  std::uint64_t backoff_retries = 0;     // retries that slept a backoff
+  double backoff_wait_s = 0;             // total backoff sleep
+  std::uint64_t passthrough_fallbacks = 0;  // puts degraded to pass-through
+  util::CodeTally first_attempt_codes;   // §6.2 tally of attempt #1
+  util::CodeTally final_codes;           // §6.2 tally after requeueing
+  util::Percentiles ttfb_s;
+  util::Percentiles latency_s;           // end-to-end, retries included
+  std::uint64_t bytes_in = 0;
+  std::uint64_t bytes_out = 0;
+};
 
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
 const char* breaker_state_name(BreakerState s);
 
 struct FleetClientConfig {
-  // Endpoints as in RequeueConfig: "unix:/path", bare path, "tcp:host:port".
+  // One per serving daemon: "unix:/path", a bare socket path, or
+  // "tcp:host:port" (server/endpoint.h).
   std::vector<std::string> endpoints;
+  // The op probe_now() judges health for: a kill-switched daemon is
+  // unhealthy for encodes only (§5.7: stored data must always read back).
   FleetOp op = FleetOp::kEncode;
 
-  // Attempt shaping (RequeueConfig semantics, budget > 2).
+  // Deadline for the first attempt; 0 = none.
   std::chrono::milliseconds first_deadline{100};
+  // Deadline for requeued attempts; 0 = none (the paper's requeue pipeline
+  // is the patient path — the file must eventually convert or classify).
   std::chrono::milliseconds retry_deadline{0};
+  // First try + requeues. 2 is the paper's timeout -> second-server shape.
   int max_attempts = 3;
 
   // Exponential backoff between retryable attempts: attempt k (1-based
@@ -154,8 +206,10 @@ class FleetClient {
     std::uint64_t failures = 0;
   };
 
-  // All three take mu_ held.
-  int pick_locked(std::chrono::steady_clock::time_point now);
+  // All three take mu_ held. pick_locked never returns `exclude` (the
+  // endpoint whose attempt just failed) while another endpoint is routable;
+  // -1 when nothing is.
+  int pick_locked(std::chrono::steady_clock::time_point now, int exclude);
   void record_success_locked(std::size_t ix);
   void record_transport_failure_locked(std::size_t ix);
 

@@ -365,7 +365,7 @@ TEST_F(FaultTest, RoutesToTheLeastLoadedEndpoint) {
   ASSERT_TRUE(b.start()) << b.last_error();
   std::vector<std::uint8_t> jpeg = lepton::corpus::jpeg_of_size(24 << 10, 9);
 
-  FleetClientConfig cfg;
+  FleetClientConfig cfg = client_cfg(a.bound_address());
   cfg.endpoints = {a.bound_address(), b.bound_address()};
   cfg.max_attempts = 1;
   FleetClient fc(cfg);
@@ -379,6 +379,45 @@ TEST_F(FaultTest, RoutesToTheLeastLoadedEndpoint) {
   // A STATS probe pass refreshes the stale depth from the live server.
   EXPECT_EQ(fc.probe_now(), 2);
   EXPECT_EQ(fc.endpoints()[0].server_in_flight, 0u);
+  a.stop();
+  b.stop();
+}
+
+// ---- §6.6 requeue target -----------------------------------------------------
+
+// A conversion that blows its time box is requeued on a *different* server.
+// Every first attempt here times out at 1 ms; whichever daemon the seeded
+// tie-break picked first, the requeue must land on the other one.
+TEST_F(FaultTest, RequeueNeverReturnsToTheServerThatTimedOut) {
+  lepton::CodecContext ctx(2);
+  EventServer a = make_tcp_server(&ctx);
+  EventServer b = make_tcp_server(&ctx);
+  ASSERT_TRUE(a.start()) << a.last_error();
+  ASSERT_TRUE(b.start()) << b.last_error();
+  std::vector<std::vector<std::uint8_t>> files;
+  for (int i = 0; i < 3; ++i) {
+    files.push_back(lepton::corpus::jpeg_of_size(200 << 10, 900 + i));
+  }
+
+  std::uint64_t requeued = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    FleetClientConfig cfg = client_cfg(a.bound_address());
+    cfg.endpoints = {a.bound_address(), b.bound_address()};
+    cfg.first_deadline = std::chrono::milliseconds(1);
+    cfg.max_attempts = 2;
+    cfg.seed = seed;
+    FleetClient fc(cfg);
+    for (const auto& f : files) {
+      auto tr = fc.convert(FleetOp::kEncode, f);
+      EXPECT_EQ(tr.final_code, ExitCode::kSuccess) << "seed " << seed;
+      if (tr.attempts > 1) {
+        ++requeued;
+        EXPECT_NE(tr.first_server, tr.final_server)
+            << "seed " << seed << ": requeued onto the server that timed out";
+      }
+    }
+  }
+  EXPECT_GE(requeued, 10u) << "the 1 ms first deadline must force requeues";
   a.stop();
   b.stop();
 }

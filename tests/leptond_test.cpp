@@ -5,11 +5,11 @@
 // byte-identical to the AF_UNIX one and to the in-process codec); (2) the
 // event plane's scaling property — a thousand idle keep-alive connections
 // hold zero threads beyond the fixed pool while a live request still
-// converts; (3) PR 5's hostile-client semantics regression-tested over the
-// event plane (deadline trailers, admission bounds, slow-loris wall
-// budget, garbage/oversize/version rejection); (4) the operator surface —
-// STATS text, daemon config parsing, EMFILE accept survival on both
-// planes, and health-checked fleet requeue over real TCP daemons.
+// converts; (3) the hostile-client semantics over TCP (deadline trailers,
+// admission bounds, slow-loris wall budget, garbage/oversize/version
+// rejection); (4) the operator surface — STATS text, daemon config
+// parsing, EMFILE accept survival, and health-checked FleetClient requeue
+// over real TCP daemons.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/resource.h>
@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,8 +34,7 @@
 #include "server/client.h"
 #include "server/endpoint.h"
 #include "server/protocol.h"
-#include "server/server.h"
-#include "storage/fleet.h"
+#include "storage/fleet_client.h"
 #include "util/failpoint.h"
 
 namespace {
@@ -46,9 +44,10 @@ using lepton::leptond::EventServerConfig;
 using lepton::server::Endpoint;
 using lepton::server::FrameType;
 using lepton::server::LeptonClient;
-using lepton::server::LeptonServer;
-using lepton::server::ServerConfig;
 using lepton::server::ShutoffOp;
+using lepton::storage::FleetClient;
+using lepton::storage::FleetClientConfig;
+using lepton::storage::FleetOp;
 using lepton::util::ExitCode;
 
 std::string unique_sock(const char* tag) {
@@ -219,19 +218,16 @@ TEST(DaemonConfig, FlagsAndConfigFileCompose) {
   std::string err;
   bool help = false;
   // Flags override the file; --config position does not matter.
-  ASSERT_TRUE(ld::parse_args(
-      {"--workers=2", "--config", path, "--plane", "thread"}, &cfg, &err,
-      &help))
+  ASSERT_TRUE(ld::parse_args({"--workers=2", "--config", path}, &cfg, &err,
+                             &help))
       << err;
   EXPECT_FALSE(help);
   EXPECT_EQ(cfg.listen, "tcp:0.0.0.0:4000");
   EXPECT_EQ(cfg.workers, 2) << "flag must override the config file";
-  EXPECT_EQ(cfg.plane, "thread");
   EXPECT_EQ(cfg.idle_timeout_ms, 5000u);
   ::unlink(path.c_str());
 
   cfg = {};
-  EXPECT_FALSE(ld::parse_args({"--plane", "fancy"}, &cfg, &err, &help));
   EXPECT_FALSE(ld::parse_args({"--workers", "0"}, &cfg, &err, &help));
   EXPECT_FALSE(ld::parse_args({"--no-such-flag", "1"}, &cfg, &err, &help));
   EXPECT_TRUE(ld::parse_args({"--help"}, &cfg, &err, &help));
@@ -348,25 +344,27 @@ TEST(DaemonConfig, PidfileWriteIsCrashAtomicUnderTornWrite) {
 
 // ---- cross-transport byte identity ------------------------------------------
 
-TEST(LeptondTest, TcpRoundTripByteIdenticalAcrossTransportsAndPlanes) {
+TEST(LeptondTest, TcpRoundTripByteIdenticalAcrossTransports) {
   lepton::CodecContext ctx(4);
 
   // The same conversation over three serving stacks: in-process one-shot,
-  // thread plane on AF_UNIX, event plane on TCP. One wire format, one
-  // service path — every container and every decoded JPEG byte-identical.
+  // the event plane on AF_UNIX, the event plane on TCP. One wire format,
+  // one service path — every container and every decoded JPEG
+  // byte-identical.
   auto jpeg = lepton::corpus::jpeg_of_size(60 << 10, 42);
   auto one_shot = ctx.encode({jpeg.data(), jpeg.size()});
   ASSERT_TRUE(one_shot.ok());
 
-  ServerConfig uc;
-  uc.socket_path = unique_sock("xt");
-  LeptonServer unix_srv(uc, &ctx);
-  ASSERT_TRUE(unix_srv.start());
+  EventServerConfig uc;
+  uc.listen = "unix:" + unique_sock("xt");
+  uc.workers = 2;
+  EventServer unix_srv(std::move(uc), &ctx);
+  ASSERT_TRUE(unix_srv.start()) << unix_srv.last_error();
 
   EventServer tcp_srv = make_tcp_server(&ctx);
   ASSERT_TRUE(tcp_srv.start()) << tcp_srv.last_error();
 
-  auto unix_cli = LeptonClient::connect(unix_srv.socket_path());
+  auto unix_cli = LeptonClient::connect(unix_srv.bound_address());
   ASSERT_TRUE(unix_cli.ok()) << unix_cli.message();
   auto tcp_cli = LeptonClient::connect(tcp_srv.bound_address());
   ASSERT_TRUE(tcp_cli.ok()) << tcp_cli.message();
@@ -392,38 +390,6 @@ TEST(LeptondTest, TcpRoundTripByteIdenticalAcrossTransportsAndPlanes) {
   unix_srv.stop();
   tcp_srv.stop();
   EXPECT_FALSE(tcp_srv.running());
-}
-
-TEST(LeptondTest, EventPlaneServesUnixAndThreadPlaneServesTcp) {
-  // The listener abstraction means the plane/transport matrix has no
-  // untestable corner: event plane on AF_UNIX, thread plane on TCP.
-  lepton::CodecContext ctx(2);
-  auto jpeg = lepton::corpus::jpeg_of_size(40 << 10, 77);
-
-  EventServerConfig ec;
-  ec.listen = "unix:" + unique_sock("evu");
-  ec.workers = 2;
-  EventServer ev(std::move(ec), &ctx);
-  ASSERT_TRUE(ev.start()) << ev.last_error();
-
-  ServerConfig tc;
-  tc.listen = "tcp:127.0.0.1:0";
-  LeptonServer th(tc, &ctx);
-  ASSERT_TRUE(th.start());
-  EXPECT_EQ(th.bound_address().rfind("tcp:127.0.0.1:", 0), 0u);
-
-  auto c1 = LeptonClient::connect(ev.bound_address());
-  auto c2 = LeptonClient::connect(th.bound_address());
-  ASSERT_TRUE(c1.ok()) << c1.message();
-  ASSERT_TRUE(c2.ok()) << c2.message();
-  auto r1 = c1.encode({jpeg.data(), jpeg.size()});
-  auto r2 = c2.encode({jpeg.data(), jpeg.size()});
-  ASSERT_TRUE(r1.ok()) << r1.message;
-  ASSERT_TRUE(r2.ok()) << r2.message;
-  EXPECT_EQ(r1.data, r2.data);
-
-  ev.stop();
-  th.stop();
 }
 
 // ---- connection scaling (the event plane's reason to exist) -----------------
@@ -477,7 +443,7 @@ TEST(LeptondTest, ThousandIdleConnectionsHoldNoExtraThreads) {
   srv.stop();
 }
 
-// ---- PR 5 semantics regression over the event plane -------------------------
+// ---- hostile-client semantics over TCP ----------------------------------------
 
 TEST(LeptondTest, EventPlaneDeadlineExpiryReturnsTimeoutTrailer) {
   lepton::CodecContext ctx(2);
@@ -534,8 +500,7 @@ TEST(LeptondTest, EventPlaneDribbledBodyCutOffAtWallBudget) {
   ASSERT_TRUE(srv.start()) << srv.last_error();
 
   // Body dribbler: holds a worker, but only up to the wall budget — the
-  // PR 5 slow-loris defense rides into the event plane unchanged because
-  // body reads are the shared service path's.
+  // slow-loris defense lives in the service's body reads.
   int fd = raw_tcp_connect(srv.bound_address());
   ASSERT_GE(fd, 0);
   raw_open_frame(fd, FrameType::kEncode);
@@ -710,26 +675,16 @@ TEST(LeptondTest, StatsFrameReportsCountersAndPlane) {
   std::string text2(again.data.begin(), again.data.end());
   EXPECT_NE(text2.find("requests 1"), std::string::npos) << text2;
 
-  // The thread plane answers too, with its own identity line.
-  ServerConfig tc;
-  tc.listen = "tcp:127.0.0.1:0";
-  LeptonServer th(tc, &ctx);
-  ASSERT_TRUE(th.start());
-  auto tcli = LeptonClient::connect(th.bound_address());
-  ASSERT_TRUE(tcli.ok());
-  auto tr = tcli.stats();
-  ASSERT_TRUE(tr.ok()) << tr.message;
-  std::string ttext(tr.data.begin(), tr.data.end());
-  EXPECT_NE(ttext.find("plane thread"), std::string::npos) << ttext;
-
   srv.stop();
-  th.stop();
 }
 
-// S1: the accept loop must survive fd exhaustion on both planes.
-void exercise_emfile_recovery(const std::string& endpoint,
-                              std::function<lepton::server::ServerStats()>
-                                  stats) {
+// The accept loop must survive fd exhaustion: back off and retry, not die.
+TEST(LeptondTest, EventPlaneAcceptSurvivesFdExhaustion) {
+  lepton::CodecContext ctx(2);
+  EventServer srv = make_tcp_server(&ctx);
+  ASSERT_TRUE(srv.start()) << srv.last_error();
+  const std::string endpoint = srv.bound_address();
+
   // Pre-open client sockets while fds are still available; the connects
   // complete in the kernel (listen backlog) without server accepts.
   std::vector<int> clients;
@@ -753,7 +708,7 @@ void exercise_emfile_recovery(const std::string& endpoint,
     if (fd >= 0) clients.push_back(fd);  // our own socket() may EMFILE too
   }
   bool saw_retry =
-      eventually([&] { return stats().accept_retries >= 1; }, 5);
+      eventually([&] { return srv.stats().accept_retries >= 1; }, 5);
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &old), 0);
   EXPECT_TRUE(saw_retry) << "accept loop must count EMFILE retries";
   for (int fd : clients) ::close(fd);
@@ -766,27 +721,10 @@ void exercise_emfile_recovery(const std::string& endpoint,
       },
       5))
       << "accept loop must recover after fd pressure lifts";
-}
-
-TEST(LeptondTest, EventPlaneAcceptSurvivesFdExhaustion) {
-  lepton::CodecContext ctx(2);
-  EventServer srv = make_tcp_server(&ctx);
-  ASSERT_TRUE(srv.start()) << srv.last_error();
-  exercise_emfile_recovery(srv.bound_address(), [&] { return srv.stats(); });
   srv.stop();
 }
 
-TEST(LeptondTest, ThreadPlaneAcceptSurvivesFdExhaustion) {
-  lepton::CodecContext ctx(2);
-  ServerConfig cfg;
-  cfg.listen = "tcp:127.0.0.1:0";
-  LeptonServer srv(cfg, &ctx);
-  ASSERT_TRUE(srv.start());
-  exercise_emfile_recovery(srv.bound_address(), [&] { return srv.stats(); });
-  srv.stop();
-}
-
-// ---- transport failures + fleet (S2, tentpole fleet leg) --------------------
+// ---- transport failures + fleet --------------------------------------------
 
 // A mini-server that accepts, reads a little, then RSTs the connection
 // (SO_LINGER zero + close), so the client's recv sees ECONNRESET.
@@ -803,10 +741,11 @@ struct RstServer {
     }
     listen_fd = lepton::server::listen_endpoint(ep, &err, &endpoint);
     if (listen_fd < 0) return false;
-    th = std::thread([this] {
+    // The thread owns a copy of the fd: stop() resets listen_fd.
+    th = std::thread([lfd = listen_fd] {
       for (;;) {
-        int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0) return;  // listener closed: shut down
+        int fd = ::accept(lfd, nullptr, nullptr);
+        if (fd < 0) return;  // listener shut down
         std::uint8_t buf[64];
         (void)::recv(fd, buf, sizeof buf, 0);
         linger lg{1, 0};  // close() sends RST, not FIN
@@ -817,12 +756,11 @@ struct RstServer {
     return true;
   }
   void stop() {
-    if (listen_fd >= 0) {
-      ::shutdown(listen_fd, SHUT_RDWR);
-      ::close(listen_fd);
-      listen_fd = -1;
-    }
+    if (listen_fd < 0) return;
+    ::shutdown(listen_fd, SHUT_RDWR);  // wakes the blocked accept()
     if (th.joinable()) th.join();
+    ::close(listen_fd);
+    listen_fd = -1;
   }
   ~RstServer() { stop(); }
 };
@@ -850,33 +788,27 @@ TEST(LeptondTest, FleetRequeuesConnectionResetToSecondServer) {
   RstServer rst;
   ASSERT_TRUE(rst.start());
 
-  std::vector<std::vector<std::uint8_t>> files;
-  files.push_back(lepton::corpus::jpeg_of_size(40 << 10, 55));
-  auto one_shot = ctx.encode({files[0].data(), files[0].size()});
+  auto jpeg = lepton::corpus::jpeg_of_size(40 << 10, 55);
+  auto one_shot = ctx.encode({jpeg.data(), jpeg.size()});
   ASSERT_TRUE(one_shot.ok());
 
-  // Deterministic seeds; find one that routes attempt #1 at the RST
-  // server, and check the reset classifies + requeues to the good one.
-  bool exercised = false;
-  for (std::uint64_t seed = 1; seed <= 32 && !exercised; ++seed) {
-    lepton::storage::RequeueConfig rq;
-    rq.endpoints = {rst.endpoint, good.bound_address()};
-    rq.op = lepton::storage::FleetOp::kEncode;
-    rq.first_deadline = std::chrono::milliseconds(0);
-    rq.seed = seed;
-    auto m = lepton::storage::run_fleet_requeue(rq, files);
-    ASSERT_EQ(m.requests, 1u);
-    const auto& tr = m.traces[0];
-    if (tr.attempts == 1) continue;  // routed to the good server first
-    exercised = true;
-    EXPECT_GE(m.transport_failures, 1u);
-    EXPECT_EQ(m.requeues, 1u);
-    EXPECT_EQ(tr.final_code, ExitCode::kSuccess)
-        << "the reset connection must requeue, not fail the request";
-    EXPECT_NE(tr.first_server, tr.final_server);
-    EXPECT_EQ(tr.data, one_shot.data);
-  }
-  EXPECT_TRUE(exercised) << "no seed routed through the RST server";
+  FleetClientConfig fc;
+  fc.endpoints = {rst.endpoint, good.bound_address()};
+  fc.first_deadline = std::chrono::milliseconds(0);
+  FleetClient fleet(fc);
+  // Make least-in-flight routing send the first attempt to the RST server;
+  // the reset must classify as a transport failure and requeue.
+  fleet.inject_reported_in_flight(1, 50);
+  auto tr = fleet.convert(FleetOp::kEncode, jpeg);
+  auto m = fleet.metrics();
+  EXPECT_GE(m.transport_failures, 1u);
+  EXPECT_EQ(m.requeues, 1u);
+  EXPECT_EQ(tr.final_code, ExitCode::kSuccess)
+      << "the reset connection must requeue, not fail the request";
+  ASSERT_EQ(tr.attempts, 2);
+  EXPECT_NE(tr.first_server, tr.final_server)
+      << "§6.6: the requeue goes to a *different* server";
+  EXPECT_EQ(tr.data, one_shot.data);
   good.stop();
   rst.stop();
 }
@@ -894,17 +826,30 @@ TEST(LeptondTest, HealthCheckRoutesAroundDeadAndKillSwitchedDaemons) {
     files.push_back(lepton::corpus::jpeg_of_size(30 << 10, 600 + i));
   }
 
-  lepton::storage::RequeueConfig rq;
-  rq.endpoints = {healthy.bound_address(), dying.bound_address(),
+  // Health-checked routing: one probe pass before traffic. One transport
+  // failure opens a breaker, and no breaker reopens within the test.
+  FleetClientConfig fc;
+  fc.endpoints = {healthy.bound_address(), dying.bound_address(),
                   "tcp:127.0.0.1:9"};  // discard port: nobody home
-  rq.op = lepton::storage::FleetOp::kEncode;
-  rq.first_deadline = std::chrono::milliseconds(0);
-  rq.health_check = true;
-  auto m = lepton::storage::run_fleet_requeue(rq, files);
-
-  EXPECT_EQ(m.health_probes, 3u);
-  EXPECT_EQ(m.unhealthy_endpoints, 2u)
+  fc.first_deadline = std::chrono::milliseconds(0);
+  fc.breaker_threshold = 1;
+  fc.breaker_cooldown = std::chrono::minutes(10);
+  FleetClient fleet(fc);
+  EXPECT_EQ(fleet.probe_now(), 3);
+  auto probed = fleet.metrics();
+  EXPECT_EQ(probed.health_probes, 3u);
+  EXPECT_EQ(probed.unhealthy_endpoints, 2u)
       << "the dead endpoint and the kill-switched daemon both demote";
+
+  for (const auto& f : files) {
+    auto tr = fleet.convert(FleetOp::kEncode, f);
+    EXPECT_EQ(tr.final_code, ExitCode::kSuccess);
+    if (tr.attempts > 1) {
+      EXPECT_NE(tr.first_server, tr.final_server)
+          << "§6.6: the requeue goes to a *different* server";
+    }
+  }
+  auto m = fleet.metrics();
   EXPECT_EQ(m.succeeded, files.size());
   EXPECT_EQ(m.requeues, 0u)
       << "probed routing should never hit a refusing server";
@@ -918,14 +863,18 @@ TEST(LeptondTest, HealthCheckRoutesAroundDeadAndKillSwitchedDaemons) {
   ASSERT_TRUE(cli.ok());
   auto lep = cli.encode({files[0].data(), files[0].size()});
   ASSERT_TRUE(lep.ok());
-  lepton::storage::RequeueConfig dq;
-  dq.endpoints = {dying.bound_address()};
-  dq.op = lepton::storage::FleetOp::kDecode;
-  dq.first_deadline = std::chrono::milliseconds(0);
-  dq.health_check = true;
-  auto dm = lepton::storage::run_fleet_requeue(dq, {lep.data});
-  EXPECT_EQ(dm.succeeded, 1u)
+  FleetClientConfig dc;
+  dc.endpoints = {dying.bound_address()};
+  dc.op = FleetOp::kDecode;
+  dc.first_deadline = std::chrono::milliseconds(0);
+  dc.breaker_threshold = 1;
+  dc.breaker_cooldown = std::chrono::minutes(10);
+  FleetClient decoders(dc);
+  EXPECT_EQ(decoders.probe_now(), 1);
+  auto dt = decoders.convert(FleetOp::kDecode, lep.data);
+  EXPECT_EQ(dt.final_code, ExitCode::kSuccess)
       << "a kill-switched daemon still serves decode fleets";
+  EXPECT_EQ(dt.data, files[0]);
 
   healthy.stop();
   dying.stop();
@@ -946,28 +895,30 @@ TEST(LeptondTest, TcpFleetTimeoutRequeueIsByteIdentical) {
     files.push_back(lepton::corpus::jpeg_of_size(200 << 10, 900 + i));
   }
 
-  lepton::storage::RequeueConfig rq;
-  rq.endpoints = {s1.bound_address(), s2.bound_address()};
-  rq.op = lepton::storage::FleetOp::kEncode;
-  rq.first_deadline = std::chrono::milliseconds(1);  // every first try blows
-  rq.retry_deadline = std::chrono::milliseconds(0);
-  auto m = lepton::storage::run_fleet_requeue(rq, files);
+  FleetClientConfig fc;
+  fc.endpoints = {s1.bound_address(), s2.bound_address()};
+  fc.first_deadline = std::chrono::milliseconds(1);  // every first try blows
+  fc.retry_deadline = std::chrono::milliseconds(0);
+  fc.max_attempts = 2;
+  fc.backoff_base = std::chrono::milliseconds(0);
+  FleetClient fleet(fc);
 
+  for (const auto& f : files) {
+    auto tr = fleet.convert(FleetOp::kEncode, f);
+    if (tr.attempts > 1) {
+      EXPECT_NE(tr.first_server, tr.final_server)
+          << "§6.6: the requeue goes to a *different* server";
+    }
+    auto one_shot = ctx.encode({f.data(), f.size()});
+    ASSERT_TRUE(one_shot.ok());
+    EXPECT_EQ(tr.data, one_shot.data);
+  }
+  auto m = fleet.metrics();
   EXPECT_EQ(m.succeeded, files.size());
   EXPECT_GE(m.requeues, 1u);
   EXPECT_GE(
       m.first_attempt_codes.count(static_cast<unsigned>(ExitCode::kTimeout)),
       1u);
-  for (std::size_t i = 0; i < m.traces.size(); ++i) {
-    const auto& tr = m.traces[i];
-    if (tr.attempts > 1) {
-      EXPECT_NE(tr.first_server, tr.final_server)
-          << "§6.6: the requeue goes to a *different* server";
-    }
-    auto one_shot = ctx.encode({files[i].data(), files[i].size()});
-    ASSERT_TRUE(one_shot.ok());
-    EXPECT_EQ(tr.data, one_shot.data);
-  }
   s1.stop();
   s2.stop();
 }

@@ -1,43 +1,62 @@
-// Serving front-end tests (docs/PROTOCOL.md is the contract under test).
+// Serving front-end tests over AF_UNIX (docs/PROTOCOL.md is the contract
+// under test; tests/leptond_test.cpp drives the same event plane over TCP).
 //
 // Three layers: (1) the happy path — a served conversion is byte-identical
-// to the one-shot API it wraps; (2) hostile clients — truncated frames,
-// oversized declared lengths (rejected before allocation), mid-request
-// disconnects, garbage frame types; (3) the §6.6 deployment contract —
-// deadline expiry comes back as a kTimeout trailer and the fleet requeues
-// the request on a second server, and the §5.7 kill-switch refuses encodes
+// to the one-shot API it wraps; (2) hostile clients — mid-request
+// disconnects, oversized declared lengths (rejected before allocation),
+// clients that stop reading; (3) the §6.6 deployment contract — deadline
+// expiry comes back as a kTimeout trailer and FleetClient requeues the
+// request on a second server, and the §5.7 kill-switch refuses encodes
 // while SHUTOFF frames see the switch without the store's 250 ms TTL lag.
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "corpus/corpus.h"
 #include "lepton/lepton.h"
+#include "leptond/event_server.h"
 #include "server/client.h"
+#include "server/endpoint.h"
 #include "server/protocol.h"
-#include "server/server.h"
-#include "storage/fleet.h"
+#include "storage/fleet_client.h"
 
 namespace {
 
+using lepton::leptond::EventServer;
+using lepton::leptond::EventServerConfig;
 using lepton::server::FrameType;
 using lepton::server::LeptonClient;
-using lepton::server::LeptonServer;
-using lepton::server::ServerConfig;
+using lepton::server::ServiceConfig;
 using lepton::server::ShutoffOp;
+using lepton::storage::FleetClient;
+using lepton::storage::FleetClientConfig;
+using lepton::storage::FleetOp;
 using lepton::util::ExitCode;
 
 std::string unique_sock(const char* tag) {
   static std::atomic<int> counter{0};
   return "/tmp/lepton_srvtest_" + std::to_string(::getpid()) + "_" + tag +
          std::to_string(counter.fetch_add(1)) + ".sock";
+}
+
+// An event-plane server on a fresh AF_UNIX socket; start() it, then reach
+// it at bound_address().
+EventServer make_unix_server(lepton::CodecContext* ctx, const char* tag,
+                             ServiceConfig service = {}) {
+  EventServerConfig ec;
+  ec.listen = "unix:" + unique_sock(tag);
+  ec.workers = 2;
+  ec.service = std::move(service);
+  return EventServer(std::move(ec), ctx);
 }
 
 // Polls `pred` until it holds or ~2 s pass (server-side counters update
@@ -54,17 +73,11 @@ bool eventually(Pred pred) {
 
 // ---- raw-socket hostile client ---------------------------------------------
 
-int raw_connect(const std::string& path) {
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
+int raw_connect(const std::string& endpoint) {
+  std::string err;
+  lepton::server::Endpoint ep;
+  if (!lepton::server::parse_endpoint(endpoint, &ep, &err)) return -1;
+  return lepton::server::connect_endpoint(ep, &err);
 }
 
 bool raw_send(int fd, const void* p, std::size_t n) {
@@ -203,18 +216,16 @@ TEST(CodeTally, CountsAndMerges) {
 
 // ---- round trip -------------------------------------------------------------
 
-TEST(LeptonServerTest, RoundTripByteIdenticalToOneShot) {
+TEST(UnixServerTest, RoundTripByteIdenticalToOneShot) {
   lepton::CodecContext ctx(4);
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("rt");
-  LeptonServer srv(cfg, &ctx);
-  ASSERT_TRUE(srv.start());
+  EventServer srv = make_unix_server(&ctx, "rt");
+  ASSERT_TRUE(srv.start()) << srv.last_error();
 
   auto jpeg = lepton::corpus::jpeg_of_size(60 << 10, 42);
   auto one_shot = ctx.encode({jpeg.data(), jpeg.size()});
   ASSERT_TRUE(one_shot.ok());
 
-  auto cli = LeptonClient::connect(srv.socket_path());
+  auto cli = LeptonClient::connect(srv.bound_address());
   ASSERT_TRUE(cli.ok()) << cli.message();
 
   auto enc = cli.encode({jpeg.data(), jpeg.size()});
@@ -239,12 +250,10 @@ TEST(LeptonServerTest, RoundTripByteIdenticalToOneShot) {
   EXPECT_FALSE(srv.running());
 }
 
-TEST(LeptonServerTest, PingAnswersAndConnectionSurvives) {
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("ping");
-  LeptonServer srv(cfg);
-  ASSERT_TRUE(srv.start());
-  auto cli = LeptonClient::connect(srv.socket_path());
+TEST(UnixServerTest, PingAnswersAndConnectionSurvives) {
+  EventServer srv = make_unix_server(nullptr, "ping");
+  ASSERT_TRUE(srv.start()) << srv.last_error();
+  auto cli = LeptonClient::connect(srv.bound_address());
   ASSERT_TRUE(cli.ok());
   for (int i = 0; i < 3; ++i) {
     auto r = cli.ping();
@@ -256,38 +265,15 @@ TEST(LeptonServerTest, PingAnswersAndConnectionSurvives) {
 
 // ---- hostile clients --------------------------------------------------------
 
-TEST(LeptonServerTest, TruncatedHeaderFrameRecordsShortRead) {
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("trunc");
-  LeptonServer srv(cfg);
-  ASSERT_TRUE(srv.start());
-
-  int fd = raw_connect(srv.socket_path());
-  ASSERT_GE(fd, 0);
-  // Three bytes of a frame header, then hang up.
-  std::uint8_t partial[3] = {0x01, 0x00, 0x00};
-  ASSERT_TRUE(raw_send(fd, partial, sizeof partial));
-  ::close(fd);
-
-  EXPECT_TRUE(eventually([&] {
-    auto s = srv.stats();
-    return s.trailer_codes.count(static_cast<unsigned>(ExitCode::kShortRead)) >=
-           1;
-  })) << "mid-header truncation must classify kShortRead";
-  srv.stop();
-}
-
-TEST(LeptonServerTest, TruncatedBodyDisconnectCancelsSession) {
+TEST(UnixServerTest, TruncatedBodyDisconnectCancelsSession) {
   lepton::CodecContext ctx(2);
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("midreq");
-  LeptonServer srv(cfg, &ctx);
-  ASSERT_TRUE(srv.start());
+  EventServer srv = make_unix_server(&ctx, "midreq");
+  ASSERT_TRUE(srv.start()) << srv.last_error();
 
   // Open a decode request, declare a 4000-byte DATA frame, send 10 bytes,
   // vanish. The server must cancel the request's session and count the
   // disconnect — and drain back to zero in-flight.
-  int fd = raw_connect(srv.socket_path());
+  int fd = raw_connect(srv.bound_address());
   ASSERT_GE(fd, 0);
   raw_open_frame(fd, FrameType::kDecode);
   std::uint8_t hdr[lepton::server::kFrameHeaderSize];
@@ -305,17 +291,15 @@ TEST(LeptonServerTest, TruncatedBodyDisconnectCancelsSession) {
   srv.stop();
 }
 
-TEST(LeptonServerTest, OversizedDeclaredLengthRejectedPreAllocation) {
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("oversz");
-  LeptonServer srv(cfg);
-  ASSERT_TRUE(srv.start());
+TEST(UnixServerTest, OversizedDeclaredLengthRejectedPreAllocation) {
+  EventServer srv = make_unix_server(nullptr, "oversz");
+  ASSERT_TRUE(srv.start()) << srv.last_error();
 
   // In-request: a DATA frame declaring ~2 GiB. The server must answer with
   // the §6.2 memory-budget code having read only the 8-byte header — the
   // trailer arriving at all (instantly, with no 2 GiB to back it) is the
   // pre-allocation proof.
-  int fd = raw_connect(srv.socket_path());
+  int fd = raw_connect(srv.bound_address());
   ASSERT_GE(fd, 0);
   raw_open_frame(fd, FrameType::kEncode);
   std::uint8_t hdr[lepton::server::kFrameHeaderSize];
@@ -327,12 +311,11 @@ TEST(LeptonServerTest, OversizedDeclaredLengthRejectedPreAllocation) {
 
   // A body within the per-frame cap but over the request cap is refused at
   // the declaration too.
-  ServerConfig small = cfg;
-  small.socket_path = unique_sock("oversz");
+  ServiceConfig small;
   small.max_body_bytes = 1 << 10;
-  LeptonServer srv2(small);
-  ASSERT_TRUE(srv2.start());
-  fd = raw_connect(srv2.socket_path());
+  EventServer srv2 = make_unix_server(nullptr, "oversz", small);
+  ASSERT_TRUE(srv2.start()) << srv2.last_error();
+  fd = raw_connect(srv2.bound_address());
   ASSERT_GE(fd, 0);
   raw_open_frame(fd, FrameType::kDecode);
   lepton::server::write_frame_header(hdr, {FrameType::kData, 0, 2 << 10});
@@ -347,33 +330,12 @@ TEST(LeptonServerTest, OversizedDeclaredLengthRejectedPreAllocation) {
   srv2.stop();
 }
 
-TEST(LeptonServerTest, GarbageFrameTypeAnswersProtocolError) {
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("garbage");
-  LeptonServer srv(cfg);
-  ASSERT_TRUE(srv.start());
-
-  int fd = raw_connect(srv.socket_path());
-  ASSERT_GE(fd, 0);
-  std::uint8_t hdr[lepton::server::kFrameHeaderSize] = {0x77, 0, 0, 0,
-                                                        0,    0, 0, 0};
-  ASSERT_TRUE(raw_send(fd, hdr, sizeof hdr));
-  auto t = raw_read_trailer(fd);
-  EXPECT_EQ(t.exit_code, static_cast<std::uint8_t>(ExitCode::kImpossible));
-  ::close(fd);
-
-  EXPECT_TRUE(eventually([&] { return srv.stats().protocol_errors >= 1; }));
-  srv.stop();
-}
-
-TEST(LeptonServerTest, HostileJpegClassifiesLikeOneShot) {
+TEST(UnixServerTest, HostileJpegClassifiesLikeOneShot) {
   // A progressive JPEG must come back with the same §6.2 code the library
   // gives, proving classifications ride the trailer unchanged.
   lepton::CodecContext ctx(2);
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("classify");
-  LeptonServer srv(cfg, &ctx);
-  ASSERT_TRUE(srv.start());
+  EventServer srv = make_unix_server(&ctx, "classify");
+  ASSERT_TRUE(srv.start()) << srv.last_error();
 
   lepton::corpus::CorpusOptions copts;
   copts.valid_files = 2;
@@ -383,7 +345,7 @@ TEST(LeptonServerTest, HostileJpegClassifiesLikeOneShot) {
   for (const auto& f : corpus) {
     if (f.kind != lepton::corpus::FileKind::kProgressive) continue;
     auto one_shot = ctx.encode({f.bytes.data(), f.bytes.size()});
-    auto cli = LeptonClient::connect(srv.socket_path());
+    auto cli = LeptonClient::connect(srv.bound_address());
     ASSERT_TRUE(cli.ok());
     auto r = cli.encode({f.bytes.data(), f.bytes.size()});
     ASSERT_TRUE(r.transport_ok) << r.message;
@@ -395,15 +357,13 @@ TEST(LeptonServerTest, HostileJpegClassifiesLikeOneShot) {
 
 // ---- deadlines + requeue ----------------------------------------------------
 
-TEST(LeptonServerTest, DeadlineExpiryReturnsTimeoutTrailer) {
+TEST(UnixServerTest, DeadlineExpiryReturnsTimeoutTrailer) {
   lepton::CodecContext ctx(2);
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("deadline");
-  LeptonServer srv(cfg, &ctx);
-  ASSERT_TRUE(srv.start());
+  EventServer srv = make_unix_server(&ctx, "deadline");
+  ASSERT_TRUE(srv.start()) << srv.last_error();
 
   auto jpeg = lepton::corpus::jpeg_of_size(300 << 10, 77);
-  auto cli = LeptonClient::connect(srv.socket_path());
+  auto cli = LeptonClient::connect(srv.bound_address());
   ASSERT_TRUE(cli.ok());
   lepton::server::RequestOptions opts;
   opts.deadline = std::chrono::milliseconds(1);
@@ -417,27 +377,39 @@ TEST(LeptonServerTest, DeadlineExpiryReturnsTimeoutTrailer) {
   srv.stop();
 }
 
-TEST(LeptonServerTest, FleetRequeuesTimedOutRequestToSecondServer) {
+TEST(FleetRequeueTest, TimedOutRequestRequeuesToSecondServer) {
   lepton::CodecContext ctx(4);
-  ServerConfig c1, c2;
-  c1.socket_path = unique_sock("fleet");
-  c2.socket_path = unique_sock("fleet");
-  LeptonServer s1(c1, &ctx), s2(c2, &ctx);
-  ASSERT_TRUE(s1.start());
-  ASSERT_TRUE(s2.start());
+  EventServer s1 = make_unix_server(&ctx, "fleet");
+  EventServer s2 = make_unix_server(&ctx, "fleet");
+  ASSERT_TRUE(s1.start()) << s1.last_error();
+  ASSERT_TRUE(s2.start()) << s2.last_error();
 
   std::vector<std::vector<std::uint8_t>> files;
   for (int i = 0; i < 3; ++i) {
     files.push_back(lepton::corpus::jpeg_of_size(200 << 10, 900 + i));
   }
 
-  lepton::storage::RequeueConfig rq;
-  rq.endpoints = {s1.socket_path(), s2.socket_path()};
-  rq.op = lepton::storage::FleetOp::kEncode;
-  rq.first_deadline = std::chrono::milliseconds(1);  // every first try blows
-  rq.retry_deadline = std::chrono::milliseconds(0);
-  auto m = lepton::storage::run_fleet_requeue(rq, files);
+  FleetClientConfig fc;
+  fc.endpoints = {s1.bound_address(), s2.bound_address()};
+  fc.first_deadline = std::chrono::milliseconds(1);  // every first try blows
+  fc.retry_deadline = std::chrono::milliseconds(0);
+  fc.max_attempts = 2;
+  fc.backoff_base = std::chrono::milliseconds(0);
+  FleetClient fleet(fc);
 
+  for (const auto& f : files) {
+    auto tr = fleet.convert(FleetOp::kEncode, f);
+    if (tr.attempts > 1) {
+      EXPECT_NE(tr.first_server, tr.final_server)
+          << "§6.6: the requeue goes to a *different* server";
+    }
+    // The served result is the real conversion, byte-identical to one-shot.
+    auto one_shot = ctx.encode({f.data(), f.size()});
+    ASSERT_TRUE(one_shot.ok());
+    EXPECT_EQ(tr.data, one_shot.data);
+  }
+
+  auto m = fleet.metrics();
   EXPECT_EQ(m.requests, files.size());
   EXPECT_EQ(m.succeeded, files.size())
       << "requeued attempts with no deadline must all convert";
@@ -447,146 +419,64 @@ TEST(LeptonServerTest, FleetRequeuesTimedOutRequestToSecondServer) {
             1u);
   EXPECT_EQ(m.final_codes.count(static_cast<unsigned>(ExitCode::kSuccess)),
             files.size());
-
-  for (std::size_t i = 0; i < m.traces.size(); ++i) {
-    const auto& tr = m.traces[i];
-    if (tr.attempts > 1) {
-      EXPECT_NE(tr.first_server, tr.final_server)
-          << "§6.6: the requeue goes to a *different* server";
-    }
-    // The served result is the real conversion, byte-identical to one-shot.
-    auto one_shot = ctx.encode({files[i].data(), files[i].size()});
-    ASSERT_TRUE(one_shot.ok());
-    EXPECT_EQ(tr.data, one_shot.data);
-  }
   s1.stop();
   s2.stop();
 }
 
-TEST(LeptonServerTest, FleetRequeuesAroundKillSwitchedServer) {
+TEST(FleetRequeueTest, RequeuesAroundKillSwitchedServer) {
   // kServerShutdown is a property of the machine, not the file: a request
   // refused by a kill-switched server must requeue to a healthy one.
   lepton::CodecContext ctx(2);
-  ServerConfig c1, c2;
-  c1.socket_path = unique_sock("shutfleet");
-  c2.socket_path = unique_sock("shutfleet");
-  LeptonServer s1(c1, &ctx), s2(c2, &ctx);
-  ASSERT_TRUE(s1.start());
-  ASSERT_TRUE(s2.start());
+  EventServer s1 = make_unix_server(&ctx, "shutfleet");
+  EventServer s2 = make_unix_server(&ctx, "shutfleet");
+  ASSERT_TRUE(s1.start()) << s1.last_error();
+  ASSERT_TRUE(s2.start()) << s2.last_error();
   {
-    auto cli = LeptonClient::connect(s1.socket_path());
+    auto cli = LeptonClient::connect(s1.bound_address());
     ASSERT_TRUE(cli.shutoff(ShutoffOp::kEngage).ok());
   }
 
-  std::vector<std::vector<std::uint8_t>> files;
-  files.push_back(lepton::corpus::jpeg_of_size(40 << 10, 123));
+  auto jpeg = lepton::corpus::jpeg_of_size(40 << 10, 123);
 
-  lepton::storage::RequeueConfig rq;
-  rq.endpoints = {s1.socket_path(), s2.socket_path()};
-  rq.op = lepton::storage::FleetOp::kEncode;
-  rq.first_deadline = std::chrono::milliseconds(0);
-  rq.max_attempts = 3;  // worst case: random routing hits s1 first twice
-  rq.seed = 5;
-  auto m = lepton::storage::run_fleet_requeue(rq, files);
-  EXPECT_EQ(m.succeeded, 1u)
+  FleetClientConfig fc;
+  fc.endpoints = {s1.bound_address(), s2.bound_address()};
+  fc.first_deadline = std::chrono::milliseconds(0);
+  fc.max_attempts = 2;
+  fc.seed = 5;
+  FleetClient fleet(fc);
+  // Make least-in-flight routing send the first attempt to s1.
+  fleet.inject_reported_in_flight(1, 50);
+  auto tr = fleet.convert(FleetOp::kEncode, jpeg);
+  EXPECT_EQ(fleet.metrics().succeeded, 1u)
       << "a per-server kill-switch must not permanently fail the request";
-  EXPECT_EQ(m.traces[0].final_code, ExitCode::kSuccess);
+  EXPECT_EQ(tr.final_code, ExitCode::kSuccess);
+  EXPECT_EQ(tr.first_code, ExitCode::kServerShutdown);
+  ASSERT_EQ(tr.attempts, 2);
+  EXPECT_NE(tr.first_server, tr.final_server)
+      << "§6.6: the requeue goes to a *different* server";
   s1.stop();
   s2.stop();
 }
 
-// ---- admission + drain ------------------------------------------------------
+// ---- slow consumers + drain --------------------------------------------------
 
-TEST(LeptonServerTest, AdmissionBoundsInFlightRequests) {
-  lepton::CodecContext ctx(4);
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("adm");
-  cfg.max_in_flight = 1;
-  LeptonServer srv(cfg, &ctx);
-  ASSERT_TRUE(srv.start());
-
-  auto jpeg = lepton::corpus::jpeg_of_size(120 << 10, 5);
-  std::atomic<int> ok{0};
-  auto worker = [&] {
-    auto cli = LeptonClient::connect(srv.socket_path());
-    ASSERT_TRUE(cli.ok());
-    auto r = cli.encode({jpeg.data(), jpeg.size()});
-    if (r.ok()) ok.fetch_add(1);
-  };
-  std::thread a(worker), b(worker), c(worker);
-  a.join();
-  b.join();
-  c.join();
-
-  EXPECT_EQ(ok.load(), 3) << "parked requests must be served, not dropped";
-  auto s = srv.stats();
-  EXPECT_EQ(s.in_flight_peak, 1) << "admission cap violated";
-  EXPECT_EQ(s.requests, 3u);
-  srv.stop();
-}
-
-TEST(LeptonServerTest, DribbledBodyCannotHoldSlotPastIdleWindow) {
-  // Slow loris: one byte per interval re-arms a per-read inactivity
-  // window forever. The body budget is wall-clock from admission, so the
-  // dribbler gets a kTimeout trailer at the idle window, not a slot for
-  // life (with max_in_flight such clients, that was a full DoS).
-  lepton::CodecContext ctx(2);
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("loris");
-  cfg.idle_read_timeout = std::chrono::milliseconds(400);
-  LeptonServer srv(cfg, &ctx);
-  ASSERT_TRUE(srv.start());
-
-  int fd = raw_connect(srv.socket_path());
-  ASSERT_GE(fd, 0);
-  raw_open_frame(fd, FrameType::kEncode);  // no deadline
-  std::uint8_t hdr[lepton::server::kFrameHeaderSize];
-  lepton::server::write_frame_header(hdr, {FrameType::kData, 0, 1000});
-  ASSERT_TRUE(raw_send(fd, hdr, sizeof hdr));
-
-  // Dribble one byte per 100 ms from another thread; the server must cut
-  // us off at ~400 ms regardless.
-  std::atomic<bool> stop_dribble{false};
-  std::thread dribbler([&] {
-    std::uint8_t b = 0xFF;
-    while (!stop_dribble.load()) {
-      if (!raw_send(fd, &b, 1)) break;  // server gave up — expected
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-  });
-
-  auto t0 = std::chrono::steady_clock::now();
-  auto t = raw_read_trailer(fd);
-  double waited =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_EQ(t.exit_code, static_cast<std::uint8_t>(ExitCode::kTimeout));
-  EXPECT_LT(waited, 2.0) << "body budget must be wall-clock, not per-read";
-  stop_dribble.store(true);
-  dribbler.join();
-  ::close(fd);
-  EXPECT_TRUE(eventually([&] { return srv.stats().in_flight == 0; }));
-  srv.stop();
-}
-
-TEST(LeptonServerTest, UnreadableClientIsDisconnectedNotWedged) {
+TEST(UnixServerTest, UnreadableClientIsDisconnectedNotWedged) {
   // A client that sends a whole decode request and then never reads fills
   // its receive buffer; the server's response writes must time out (send
   // timeout = idle_read_timeout), cancel the session, and free the slot —
-  // not block a request thread forever.
+  // not block a worker forever.
   lepton::CodecContext ctx(2);
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("slowreader");
-  cfg.idle_read_timeout = std::chrono::milliseconds(300);
-  LeptonServer srv(cfg, &ctx);
-  ASSERT_TRUE(srv.start());
+  ServiceConfig svc;
+  svc.idle_read_timeout = std::chrono::milliseconds(300);
+  EventServer srv = make_unix_server(&ctx, "slowreader", svc);
+  ASSERT_TRUE(srv.start()) << srv.last_error();
 
   // A container whose decoded output overflows any socket buffer.
   auto jpeg = lepton::corpus::jpeg_of_size(600 << 10, 31);
   auto lep = ctx.encode({jpeg.data(), jpeg.size()});
   ASSERT_TRUE(lep.ok());
 
-  int fd = raw_connect(srv.socket_path());
+  int fd = raw_connect(srv.bound_address());
   ASSERT_GE(fd, 0);
   raw_open_frame(fd, FrameType::kDecode);
   std::uint8_t hdr[lepton::server::kFrameHeaderSize];
@@ -616,37 +506,18 @@ TEST(LeptonServerTest, UnreadableClientIsDisconnectedNotWedged) {
   ::close(fd);
 }
 
-TEST(LeptonServerTest, ZeroSliceBytesIsClampedNotDivideByZero) {
+TEST(UnixServerTest, ZeroSliceBytesIsClampedNotDivideByZero) {
   lepton::CodecContext ctx(2);
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("slice0");
-  LeptonServer srv(cfg, &ctx);
-  ASSERT_TRUE(srv.start());
+  EventServer srv = make_unix_server(&ctx, "slice0");
+  ASSERT_TRUE(srv.start()) << srv.last_error();
   auto jpeg = lepton::corpus::jpeg_of_size(30 << 10, 9);
-  auto cli = LeptonClient::connect(srv.socket_path());
+  auto cli = LeptonClient::connect(srv.bound_address());
   ASSERT_TRUE(cli.ok());
   lepton::server::RequestOptions opts;
   opts.slice_bytes = 0;
   auto r = cli.encode({jpeg.data(), jpeg.size()}, opts);
   EXPECT_TRUE(r.ok()) << r.message;
   srv.stop();
-}
-
-TEST(LeptonServerTest, StopDrainsAndIdleConnectionsDoNotHangIt) {
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("drain");
-  LeptonServer srv(cfg);
-  ASSERT_TRUE(srv.start());
-  // An idle connection sits in a header read; stop() must come back fast.
-  int fd = raw_connect(srv.socket_path());
-  ASSERT_GE(fd, 0);
-  auto t0 = std::chrono::steady_clock::now();
-  srv.stop();
-  double s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-                 .count();
-  EXPECT_LT(s, 5.0) << "graceful stop must not wait out the idle timeout";
-  ::close(fd);
 }
 
 // ---- kill-switch ------------------------------------------------------------
@@ -672,45 +543,44 @@ TEST(TransparentStore, RecheckShutoffBypassesTtlCache) {
   EXPECT_FALSE(store.shutoff_active());
 }
 
-TEST(LeptonServerTest, ShutoffFrameFlipsKillSwitchAndForcesRecheck) {
+TEST(UnixServerTest, ShutoffFrameFlipsKillSwitchAndForcesRecheck) {
   lepton::CodecContext ctx(2);
   std::string file = ::testing::TempDir() + "lepton_srv_shutoff_file";
   ::unlink(file.c_str());
   lepton::TransparentStore store;
   store.set_shutoff_file(file);
 
-  ServerConfig cfg;
-  cfg.socket_path = unique_sock("shutoff");
-  cfg.store = &store;
-  LeptonServer srv(cfg, &ctx);
-  ASSERT_TRUE(srv.start());
+  ServiceConfig svc;
+  svc.store = &store;
+  EventServer srv = make_unix_server(&ctx, "shutoff", svc);
+  ASSERT_TRUE(srv.start()) << srv.last_error();
 
   auto jpeg = lepton::corpus::jpeg_of_size(30 << 10, 8);
 
   // Engage via frame: encodes refused, decodes still served (§5.7 says
   // compression stops; stored data must always read back).
   {
-    auto cli = LeptonClient::connect(srv.socket_path());
+    auto cli = LeptonClient::connect(srv.bound_address());
     ASSERT_TRUE(cli.ok());
     auto lep = cli.encode({jpeg.data(), jpeg.size()});
     ASSERT_TRUE(lep.ok());
 
-    auto cli2 = LeptonClient::connect(srv.socket_path());
+    auto cli2 = LeptonClient::connect(srv.bound_address());
     auto r = cli2.shutoff(ShutoffOp::kEngage);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r.shutoff_engaged);
 
-    auto cli3 = LeptonClient::connect(srv.socket_path());
+    auto cli3 = LeptonClient::connect(srv.bound_address());
     auto refused = cli3.encode({jpeg.data(), jpeg.size()});
     ASSERT_TRUE(refused.transport_ok);
     EXPECT_EQ(refused.code, ExitCode::kServerShutdown);
 
-    auto cli4 = LeptonClient::connect(srv.socket_path());
+    auto cli4 = LeptonClient::connect(srv.bound_address());
     auto dec = cli4.decode({lep.data.data(), lep.data.size()});
     ASSERT_TRUE(dec.ok()) << "decode must survive the kill-switch";
     EXPECT_EQ(dec.data, jpeg);
 
-    auto cli5 = LeptonClient::connect(srv.socket_path());
+    auto cli5 = LeptonClient::connect(srv.bound_address());
     auto off = cli5.shutoff(ShutoffOp::kClear);
     ASSERT_TRUE(off.ok());
     EXPECT_FALSE(off.shutoff_engaged);
@@ -723,19 +593,19 @@ TEST(LeptonServerTest, ShutoffFrameFlipsKillSwitchAndForcesRecheck) {
   ASSERT_NE(f, nullptr);
   std::fclose(f);
   {
-    auto cli = LeptonClient::connect(srv.socket_path());
+    auto cli = LeptonClient::connect(srv.bound_address());
     auto q = cli.shutoff(ShutoffOp::kQuery);
     ASSERT_TRUE(q.ok());
     EXPECT_TRUE(q.shutoff_engaged)
         << "SHUTOFF query must bypass the 250 ms TTL cache";
-    auto cli2 = LeptonClient::connect(srv.socket_path());
+    auto cli2 = LeptonClient::connect(srv.bound_address());
     auto refused = cli2.encode({jpeg.data(), jpeg.size()});
     ASSERT_TRUE(refused.transport_ok);
     EXPECT_EQ(refused.code, ExitCode::kServerShutdown);
   }
   ::unlink(file.c_str());
   {
-    auto cli = LeptonClient::connect(srv.socket_path());
+    auto cli = LeptonClient::connect(srv.bound_address());
     auto q = cli.shutoff(ShutoffOp::kQuery);
     ASSERT_TRUE(q.ok());
     EXPECT_FALSE(q.shutoff_engaged);
