@@ -1,14 +1,17 @@
 // Session-layer microbench: the streaming API must not tax the one-shot
 // path it now implements. Measures (a) whole-buffer decode/encode through
 // the session-backed wrappers, (b) the same work fed in network-sized
-// slices, and (c) time-to-first-byte under paced arrival — the §3.4 claim
-// that decode output starts before the container has fully arrived.
+// slices — also in the shape leptond serves, multi-segment containers in
+// 64 KiB DATA frames — and (c) time-to-first-byte under paced arrival — the
+// §3.4 claim that decode output starts before the container has fully
+// arrived.
 //
 // Usage: micro_session [--full]
 #include <algorithm>
 
 #include "bench_common.h"
 #include "lepton/lepton.h"
+#include "server/client.h"
 #include "util/rng.h"
 
 namespace {
@@ -70,6 +73,49 @@ int main(int argc, char** argv) {
     }
   });
 
+  // (b') leptond's DECODE shape: 4-segment containers fed in
+  // RequestOptions::slice_bytes (64 KiB) slices, against the one-shot
+  // decode of the same containers. Segments whose streams complete before
+  // the last slice are the ones the session hands to the pool mid-stream.
+  lepton::EncodeOptions four_segments;
+  four_segments.force_threads = 4;
+  const std::size_t frame = lepton::server::RequestOptions{}.slice_bytes;
+  std::vector<std::vector<std::uint8_t>> leps4;
+  Totals one_shot4, framed4;
+  for (const auto& f : corpus) {
+    auto enc = ctx.encode({f.bytes.data(), f.bytes.size()}, four_segments);
+    if (!enc.ok()) continue;
+    one_shot4.bytes += f.bytes.size();
+    leps4.push_back(std::move(enc.data));
+  }
+  framed4.bytes = one_shot4.bytes;
+  auto decode_one_shot4 = [&] {
+    for (const auto& lep : leps4) {
+      lepton::VectorSink sink;
+      (void)ctx.decode({lep.data(), lep.size()}, sink);
+    }
+  };
+  auto decode_framed4 = [&] {
+    for (const auto& lep : leps4) {
+      lepton::VectorSink sink;
+      lepton::DecodeSession s(sink, {}, &ctx);
+      for (std::size_t off = 0; off < lep.size(); off += frame) {
+        std::size_t n = std::min(frame, lep.size() - off);
+        if (s.feed({lep.data() + off, n}) != lepton::util::ExitCode::kSuccess)
+          break;
+      }
+      (void)s.finish();
+    }
+  };
+  // Best of 3, the two sides interleaved: drift in the box's speed between
+  // two separate best-of runs would read as streaming overhead.
+  one_shot4.seconds = framed4.seconds = 1e100;
+  for (int r = 0; r < 3; ++r) {
+    one_shot4.seconds =
+        std::min(one_shot4.seconds, bench::time_s(decode_one_shot4));
+    framed4.seconds = std::min(framed4.seconds, bench::time_s(decode_framed4));
+  }
+
   // (c) TTFB under paced arrival: how much of the container had to arrive
   // before the first output byte left, averaged over the corpus.
   double arrival_fraction = 0;
@@ -124,6 +170,9 @@ int main(int argc, char** argv) {
   std::printf("%-34s %8.1f MB/s (%.1f%% of one-shot)\n",
               "decode, ~1500-byte slices", sliced.mb_s(),
               100.0 * sliced.mb_s() / one_shot.mb_s());
+  std::printf("%-34s %8.1f MB/s (%.1f%% of one-shot)\n",
+              "decode, 4 segments, 64 KiB slices", framed4.mb_s(),
+              100.0 * framed4.mb_s() / one_shot4.mb_s());
   std::printf("%-34s %8.1f %%\n",
               "input arrived before first output", 100.0 * arrival_fraction);
   std::printf("%-34s %8.1f MB/s\n", "encode, one-shot wrapper",

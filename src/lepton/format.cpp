@@ -240,6 +240,7 @@ void ContainerParser::on_header_blob_complete() {
     std::size_t r = std::min<std::size_t>(arith_len_[i], reserve_budget);
     arith_[i].reserve(r);
     reserve_budget -= r;
+    if (arith_len_[i] == 0) completed_.push_back(i);
   }
   header_ready_ = true;
 }
@@ -337,6 +338,9 @@ util::ExitCode ContainerParser::feed(std::span<const std::uint8_t> in) {
             in.begin() + static_cast<std::ptrdiff_t>(i + take));
         i += take;
         body_remaining_ -= take;
+        if (take > 0 && arith_[cur_seg_].size() == arith_len_[cur_seg_]) {
+          completed_.push_back(cur_seg_);
+        }
         if (body_remaining_ > 0) {
           more = false;
         } else {

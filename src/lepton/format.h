@@ -149,8 +149,11 @@ class ContainerParser {
 
   // Per-segment stream progress (valid once header_ready()).
   std::size_t segment_count() const { return header_.segments.size(); }
-  bool segment_complete(std::size_t seg) const {
-    return arith_[seg].size() == arith_len_[seg];
+  // Segments whose streams are complete, in the order they completed: a
+  // streaming decoder can start each one as soon as it appears here, and
+  // its stream never changes again.
+  const std::vector<std::size_t>& completed_segments() const {
+    return completed_;
   }
   const std::vector<std::uint8_t>& segment_arith(std::size_t seg) const {
     return arith_[seg];
@@ -195,6 +198,7 @@ class ContainerParser {
   ContainerHeader header_;
   std::vector<std::uint32_t> arith_len_;
   std::vector<std::vector<std::uint8_t>> arith_;
+  std::vector<std::size_t> completed_;
   std::size_t cur_seg_ = 0;
   std::size_t body_remaining_ = 0;
   std::uint64_t consumed_ = 0;

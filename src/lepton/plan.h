@@ -14,8 +14,11 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -60,8 +63,8 @@ std::vector<std::uint8_t> encode_container(
 // ---- shared decode driver ---------------------------------------------------
 //
 // DecodeSession (session.h) and the whole-buffer decode path are built from
-// the same three pieces below, so there is exactly one segment-decode code
-// path regardless of how the container bytes arrived.
+// the same pieces below, so there is exactly one segment-decode code path
+// regardless of how the container bytes arrived.
 
 // In-order streaming assembler for parallel segment output (§3.4: separate
 // threads each write their own segment, which is concatenated and sent).
@@ -72,6 +75,13 @@ class OrderedEmitter {
  public:
   OrderedEmitter(ByteSink& sink, std::size_t n)
       : sink_(sink), pending_(n), completed_(n, 0) {}
+
+  // Sizes the buffer of a segment that is not live yet, so its buffered
+  // output grows without reallocating.
+  void reserve(std::size_t seg, std::size_t n) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (seg != live_) pending_[seg].reserve(n);
+  }
 
   void submit(std::size_t seg, std::span<const std::uint8_t> bytes) {
     std::lock_guard<std::mutex> lk(mu_);
@@ -130,28 +140,93 @@ struct DecodeRunFlags {
 // the arithmetic payload has even been fetched.
 jpegfmt::JpegFile validate_container_decode(const ContainerHeader& h);
 
-// Decodes one segment of `h` from its arithmetic stream, submitting its
-// prepend bytes and re-encoded rows to `em` under index `local` and always
-// marking `local` complete (success or failure — in-order emission never
-// wedges). Polls `rc` every MCU row; a trip classifies as kTimeout.
-// Returns kSuccess or the classified failure; never throws.
+// Decodes segment `seg` of `h` from its arithmetic stream, submitting its
+// prepend bytes and re-encoded rows to `em` and always marking `seg`
+// complete (success or failure — in-order emission never wedges). Polls
+// `rc` every MCU row; a trip classifies as kTimeout. Returns kSuccess or
+// the classified failure; never throws.
 util::ExitCode decode_one_segment(const ContainerHeader& h,
                                   const jpegfmt::JpegFile& hdr,
                                   std::span<const std::uint8_t> arith,
                                   std::size_t seg, CodecContext& ctx,
-                                  OrderedEmitter& em, std::size_t local,
-                                  DecodeRunFlags* flags, const RunControl* rc);
+                                  OrderedEmitter& em, DecodeRunFlags* flags,
+                                  const RunControl* rc);
 
-// Decodes segments [first, h.segments.size()) into `sink` in order, on
-// `ctx`'s pool when opts.run_parallel (the calling thread participates).
-// Segments before `first` must already have been emitted by the caller
-// (DecodeSession decodes them eagerly as their streams complete). Returns
-// the first classified failure, kSuccess otherwise.
-util::ExitCode decode_segment_range(
-    const ContainerHeader& h, const jpegfmt::JpegFile& hdr,
-    const std::vector<std::vector<std::uint8_t>>& arith, std::size_t first,
-    ByteSink& sink, const DecodeOptions& opts, CodecContext& ctx,
-    DecodeRunFlags* flags);
+// Runs one container's segments on `ctx`'s pool into one OrderedEmitter
+// over `sink`. Each segment runs exactly once, on whichever thread claims
+// it first: a pool worker that picks up a start()ed segment, or the owner
+// inside run_rest()/wait(), which takes over the segments no worker has
+// reached yet. Segment failures follow one rule on every path: the runner's
+// code is the code of the lowest-index failing segment.
+//
+// The owner (one thread at a time) calls start/run_rest/wait; `h`, `hdr`,
+// `sink`, `ctx`, `flags` and every started stream must outlive the runner.
+class SegmentRunner {
+ public:
+  SegmentRunner(const ContainerHeader& h, const jpegfmt::JpegFile& hdr,
+                ByteSink& sink, const DecodeOptions& opts, CodecContext& ctx,
+                DecodeRunFlags* flags);
+  // Claims every started segment no thread has picked up (it never runs)
+  // and waits for the running ones, so a runner dropped mid-stream — a
+  // client hung up — leaves no pool thread writing into freed state.
+  ~SegmentRunner();
+
+  SegmentRunner(const SegmentRunner&) = delete;
+  SegmentRunner& operator=(const SegmentRunner&) = delete;
+
+  // Decodes segment `seg`, whose stream `arith` is complete, in the
+  // background on the pool — or inline on the caller when
+  // opts.run_parallel is false or the pool has no workers.
+  void start(std::size_t seg, std::span<const std::uint8_t> arith);
+
+  // Starts every segment not yet started (`arith` holds every segment's
+  // stream), waits as wait() does, and returns the code of the
+  // lowest-index failing segment — kSuccess when none failed.
+  util::ExitCode run_rest(const std::vector<std::vector<std::uint8_t>>& arith);
+
+  // Runs the started segments no pool thread has picked up yet — on the
+  // pool when opts.run_parallel, the calling thread participating — and
+  // waits until every started segment has finished.
+  void wait();
+
+  // The code of the lowest-index failing segment once every segment below
+  // it has finished successfully; kSuccess until such a failure settles.
+  // Any thread; a settled failure never changes.
+  util::ExitCode settled_failure() const;
+
+ private:
+  // Shared with the queued pool tasks, which can outlive the runner: a
+  // task whose segment was claimed first returns without touching it.
+  struct Claims {
+    explicit Claims(std::size_t n) : taken(n) {}
+    std::vector<std::atomic<bool>> taken;
+  };
+
+  bool claim(std::size_t seg) { return !claims_->taken[seg].exchange(true); }
+  void run_one(std::size_t seg, bool tripped);
+  bool tripped() const { return rc_ != nullptr && rc_->tripped(); }
+
+  const ContainerHeader& h_;
+  const jpegfmt::JpegFile& hdr_;
+  CodecContext& ctx_;
+  DecodeRunFlags* flags_;
+  const RunControl* rc_;
+  const bool parallel_;
+  OrderedEmitter em_;
+  std::shared_ptr<Claims> claims_;
+
+  // Written by the owner as a segment starts, before any thread can claim
+  // it; only the owner reads started_ and n_started_.
+  std::vector<std::uint8_t> started_;
+  std::vector<std::span<const std::uint8_t>> arith_;
+  std::size_t n_started_ = 0;
+
+  mutable std::mutex mu_;
+  std::condition_variable cv_;  // signalled as segments finish
+  std::vector<std::optional<util::ExitCode>> status_;  // set when finished
+  std::size_t n_done_ = 0;
+  std::size_t settled_ = 0;  // segments [0, settled_) finished with success
+};
 
 // Decodes one parsed container into `sink` (implemented in codec.cpp).
 // Throws jpegfmt::ParseError with a §6.2 classification on failure.

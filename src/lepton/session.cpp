@@ -40,27 +40,29 @@ ExitCode DecodeSession::pump() {
     validated_ = true;
     const auto& h = parser_.header();
     sink_.append({h.jpeg_header.data() + h.prefix_off, h.prefix_len});
+    runner_.emplace(h, hdr_, sink_, opts_, ctx_, &flags_);
   }
   if (!validated_ || parser_.complete()) return ExitCode::kSuccess;
-  // Network-paced overlap: while later bytes are still in flight, decode —
-  // serially, in emission order — any segment whose interleaved arithmetic
-  // stream is already complete. When the whole container arrived in one
-  // feed, this loop never runs (complete() above) and finish() decodes
-  // everything on the pool instead, so the one-shot wrappers keep full
-  // segment parallelism.
-  while (next_seg_ < parser_.segment_count() &&
-         parser_.segment_complete(next_seg_)) {
-    core::OrderedEmitter em(sink_, 1);
-    const auto& a = parser_.segment_arith(next_seg_);
-    ExitCode code =
-        core::decode_one_segment(parser_.header(), hdr_, {a.data(), a.size()},
-                                 next_seg_, ctx_, em, 0, &flags_, rc_);
-    if (code != ExitCode::kSuccess) {
-      return fail(code, "segment decode failed");
-    }
-    ++next_seg_;
+  // Network-paced overlap: while later bytes are still in flight, hand
+  // every segment whose interleaved arithmetic stream is complete to the
+  // pool, in completion order; the runner's emitter keeps the output in
+  // order and this thread goes back to reading. When the whole container
+  // arrived in one feed, nothing starts here (complete() above) and
+  // finish() fans every segment out at once, so the one-shot wrappers keep
+  // full segment parallelism.
+  const auto& done = parser_.completed_segments();
+  while (started_ < done.size()) {
+    const std::size_t seg = done[started_++];
+    const auto& a = parser_.segment_arith(seg);
+    runner_->start(seg, {a.data(), a.size()});
   }
-  return ExitCode::kSuccess;
+  return check_segments();
+}
+
+ExitCode DecodeSession::check_segments() {
+  ExitCode code = runner_ ? runner_->settled_failure() : ExitCode::kSuccess;
+  return code == ExitCode::kSuccess ? code
+                                    : fail(code, "segment decode failed");
 }
 
 ExitCode DecodeSession::feed(std::span<const std::uint8_t> bytes) {
@@ -69,6 +71,9 @@ ExitCode DecodeSession::feed(std::span<const std::uint8_t> bytes) {
   // not rewrite the outcome of a finished session.
   if (finished_) return ExitCode::kImpossible;
   if (rc_->tripped()) return fail(ExitCode::kTimeout, "session cancelled");
+  // A started segment that failed dooms the stream: stop before reading
+  // more of it.
+  if (check_segments() != ExitCode::kSuccess) return error_;
   // Nothing in this API throws on hostile input (lepton.h): allocation
   // failure from parser buffer growth classifies like any other internal
   // failure instead of escaping the never-throws contract.
@@ -86,8 +91,8 @@ ExitCode DecodeSession::feed(std::span<const std::uint8_t> bytes) {
 ExitCode DecodeSession::finish(DecodeStats* stats) {
   ExitCode code = finish_impl();
   // Consumption facts are reported on every path — including failures —
-  // so truncation diagnostics keep what the eagerly decoded segments
-  // learned, and repeated finish() calls answer identically.
+  // so truncation diagnostics keep what the started segments learned, and
+  // repeated finish() calls answer identically.
   flags_.fill(stats);
   return code;
 }
@@ -95,17 +100,23 @@ ExitCode DecodeSession::finish(DecodeStats* stats) {
 ExitCode DecodeSession::finish_impl() {
   if (finished_) return error_;
   finished_ = true;
-  if (error_ != ExitCode::kSuccess) return error_;
-  if (rc_->tripped()) return fail(ExitCode::kTimeout, "session cancelled");
-  if (!parser_.complete()) {
-    // The connection ended before the bytes the container's own header
-    // promised — the streaming counterpart of a truncated buffer.
-    return fail(ExitCode::kShortRead, "input ended mid-container");
+  if (error_ == ExitCode::kSuccess) {
+    if (rc_->tripped()) {
+      fail(ExitCode::kTimeout, "session cancelled");
+    } else if (!parser_.complete()) {
+      // The connection ended before the bytes the container's own header
+      // promised — the streaming counterpart of a truncated buffer.
+      fail(ExitCode::kShortRead, "input ended mid-container");
+    }
   }
   try {
-    ExitCode code = core::decode_segment_range(parser_.header(), hdr_,
-                                               parser_.arith(), next_seg_,
-                                               sink_, opts_, ctx_, &flags_);
+    if (error_ != ExitCode::kSuccess) {
+      // A failed stream still runs its started segments to the end, so
+      // their consumption facts reach the stats.
+      if (runner_) runner_->wait();
+      return error_;
+    }
+    ExitCode code = runner_->run_rest(parser_.arith());
     if (code != ExitCode::kSuccess) {
       return fail(code, "segment decode failed");
     }

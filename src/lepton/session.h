@@ -19,11 +19,13 @@
 // first bytes, a hostile header fails when the header arrives — before the
 // payload has been fetched. The verbatim JPEG header prefix is emitted to
 // the sink as soon as the container header parses (time-to-first-byte does
-// not wait for the payload), and segments whose interleaved arithmetic
-// streams complete mid-stream are decoded while later bytes are still in
-// flight. finish() decodes whatever remains — in parallel on the context's
-// pool — and classifies a stream that ended early as kShortRead, a
-// cancelled/expired session as kTimeout.
+// not wait for the payload), and each segment whose interleaved arithmetic
+// stream completes mid-stream is handed to the context's pool at once:
+// segments decode in parallel while feed() goes back to reading, and their
+// output still reaches the sink in order — from pool threads. finish()
+// decodes whatever remains, also in parallel on the pool, waits for the
+// handed-off segments, and classifies a stream that ended early as
+// kShortRead, a cancelled/expired session as kTimeout.
 //
 // EncodeSession is the same shape for compression. Encoding needs the whole
 // file before planning (§3: the production system assembles the file before
@@ -38,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -67,6 +70,11 @@ class DecodeSession {
   DecodeSession(const DecodeSession&) = delete;
   DecodeSession& operator=(const DecodeSession&) = delete;
 
+  // Destroying an unfinished session (a client hung up) drops the handed-off
+  // segments no pool thread has started and waits for the running ones;
+  // trip control() first so they stop at their next MCU row.
+  ~DecodeSession() = default;
+
   // The session's cancellation/deadline control — opts.run when the caller
   // supplied one, the session-owned control otherwise. May be tripped from
   // any thread while feed()/finish() runs on another.
@@ -75,30 +83,38 @@ class DecodeSession {
   // Consumes the next input slice (any size; bytes need not align with any
   // container structure). Returns kSuccess while the stream is healthy.
   // Failures are classified and sticky; once feed() reports an error the
-  // session is dead and finish() returns the same code.
+  // session is dead and finish() returns the same code. A handed-off
+  // segment that failed is reported by the next feed() once every segment
+  // below it has finished: the session's code is always the code of the
+  // lowest-index failing segment, as in a one-shot decode.
   util::ExitCode feed(std::span<const std::uint8_t> bytes);
 
-  // Ends the input stream: decodes every remaining segment (in parallel on
-  // the context's pool when opts.run_parallel), emits the suffix, and
-  // returns the final §6.2 classification. An input stream that ended
-  // before the bytes its header promised is kShortRead; a tripped
-  // RunControl is kTimeout. Idempotent. `stats` (optional) receives
-  // payload-consumption facts.
+  // Ends the input stream: decodes every segment not yet handed off (in
+  // parallel on the context's pool when opts.run_parallel, the calling
+  // thread helping), waits for the handed-off ones — on every path, so a
+  // failed stream's started segments still report their consumption facts
+  // — emits the suffix, and returns the final §6.2 classification. An
+  // input stream that ended before the bytes its header promised is
+  // kShortRead; a tripped RunControl is kTimeout. Idempotent. `stats`
+  // (optional) receives payload-consumption facts.
   util::ExitCode finish(DecodeStats* stats = nullptr);
 
   // True once finish() has run (successfully or not).
   bool finished() const { return finished_; }
 
-  // Progress visibility for pacing layers.
+  // Progress visibility for pacing layers. segments_decoded() counts the
+  // segments handed to the pool mid-stream (their decode may still run).
   bool header_ready() const { return validated_; }
   std::uint64_t bytes_fed() const { return parser_.bytes_consumed(); }
-  std::size_t segments_decoded() const { return next_seg_; }
+  std::size_t segments_decoded() const { return started_; }
 
   const std::string& message() const { return message_; }
 
  private:
   util::ExitCode fail(util::ExitCode code, std::string msg);
   util::ExitCode pump();
+  // Fails the session with the runner's settled segment failure, if any.
+  util::ExitCode check_segments();
   util::ExitCode finish_impl();
 
   ByteSink& sink_;
@@ -110,12 +126,16 @@ class DecodeSession {
   core::ContainerParser parser_;
   jpegfmt::JpegFile hdr_;    // parsed embedded JPEG header
   bool validated_ = false;   // header validated + prefix emitted
-  std::size_t next_seg_ = 0;  // first segment not yet decoded
+  std::size_t started_ = 0;  // completed segments handed to the runner
   core::DecodeRunFlags flags_;
 
   bool finished_ = false;
   util::ExitCode error_ = util::ExitCode::kSuccess;
   std::string message_;
+
+  // Declared last: destroyed first, waiting for its pool tasks while the
+  // parser's streams, the header and the flags they use are still alive.
+  std::optional<core::SegmentRunner> runner_;
 };
 
 // ---- encode ----------------------------------------------------------------

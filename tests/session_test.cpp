@@ -1,14 +1,22 @@
 // Streaming-session tests (session.h): slice-equivalence against the
 // whole-buffer path (fuzzed partitions, 1-byte feeds, truncation at
-// structural boundaries), the kShortRead/kTimeout classification rules,
-// early prefix emission, per-session deadline isolation on a shared
-// CodecContext, the resumable JPEG header probe, and the satellite
+// structural boundaries), the kShortRead/kTimeout classification rules and
+// the lowest-index segment failure rule, early prefix emission, mid-stream
+// segment hand-off (feed() never waits on a segment decode; a dropped
+// session waits for its segments), per-session deadline isolation on a
+// shared CodecContext, the resumable JPEG header probe, and the satellite
 // plumbing (chunk DecodeStats, store shutoff TTL).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <thread>
 
 #include "corpus/corpus.h"
@@ -77,6 +85,32 @@ ExitCode stream_decode(std::span<const std::uint8_t> bytes,
   ExitCode code = session.finish(stats);
   *out = std::move(sink.data);
   return code;
+}
+
+// leptond's DECODE body shape: RequestOptions::slice_bytes (64 KiB) DATA
+// frames.
+constexpr std::size_t kFrame = 64 << 10;
+
+// Encoded with 4 segments, its container spans two kFrame slices, and
+// three of the four segment streams complete inside the first one.
+std::vector<std::uint8_t> large_jpeg(std::uint64_t seed) {
+  return make_jpeg(1024, 1024, seed);
+}
+
+// Offset of the last kFrame slice of a `size`-byte stream.
+std::size_t last_frame_offset(std::size_t size) {
+  return (size - 1) / kFrame * kFrame;
+}
+
+// Feeds bytes [0, end) to `session` in kFrame slices.
+ExitCode feed_frames(lepton::DecodeSession& session,
+                     std::span<const std::uint8_t> bytes, std::size_t end) {
+  for (std::size_t off = 0; off < end; off += kFrame) {
+    ExitCode code =
+        session.feed(bytes.subspan(off, std::min(kFrame, end - off)));
+    if (code != ExitCode::kSuccess) return code;
+  }
+  return ExitCode::kSuccess;
 }
 
 std::vector<std::size_t> fuzz_partition(std::size_t total,
@@ -172,7 +206,7 @@ TEST(DecodeSession, TruncationAtEveryBoundaryIsShortRead) {
   auto file = make_jpeg(64, 64, 903);
   auto lep = encode_or_die({file.data(), file.size()}, 2);
   // Every cut in the structural front matter, then a stride through the
-  // payload (a full per-byte sweep re-decodes eager segments per cut).
+  // payload (a full per-byte sweep re-decodes handed-off segments per cut).
   std::size_t stride = lep.size() > 2048 ? lep.size() / 512 : 1;
   for (std::size_t cut = 0; cut < lep.size();
        cut += (cut < 64 ? 1 : stride)) {
@@ -208,6 +242,107 @@ TEST(DecodeSession, HostileStreamsClassifyLikeOneShot) {
         << ")";
     if (sliced == ExitCode::kSuccess) EXPECT_EQ(out, one_shot.data);
   }
+}
+
+TEST(DecodeSession, HostileFourSegmentStreamsClassifyLikeOneShot) {
+  // Segments now decode concurrently while the stream is still arriving,
+  // and several of a mutated container's segments can fail, with different
+  // codes. The rule is the one-shot rule on every path: the code of the
+  // lowest-index failing segment, whatever order the segments finished in.
+  auto file = large_jpeg(916);
+  auto lep = encode_or_die({file.data(), file.size()}, 4);
+  std::vector<std::size_t> frames(lep.size() / kFrame + 1, kFrame);
+  {
+    lepton::VectorSink sink;
+    lepton::DecodeSession session(sink);
+    ASSERT_EQ(feed_frames(session, {lep.data(), lep.size()},
+                          last_frame_offset(lep.size())),
+              ExitCode::kSuccess);
+    ASSERT_GT(session.segments_decoded(), 0u)
+        << "the unmutated stream must hand segments off mid-stream";
+  }
+  lepton::util::Rng rng(6);
+  for (int trial = 0; trial < 12; ++trial) {
+    auto mutated = lep;
+    for (int i = 0; i < 6; ++i) {
+      mutated[rng.below(mutated.size())] =
+          static_cast<std::uint8_t>(rng.below(256));
+    }
+    auto one_shot = lepton::decode_lepton({mutated.data(), mutated.size()});
+    ASSERT_EQ(lepton::decode_lepton({mutated.data(), mutated.size()}).code,
+              one_shot.code)
+        << "one-shot classification must be deterministic (trial " << trial
+        << ")";
+    auto fuzzed = fuzz_partition(mutated.size(), rng);
+    for (int rep = 0; rep < 2; ++rep) {
+      for (const auto* slices : {&frames, &fuzzed}) {
+        std::vector<std::uint8_t> out;
+        ExitCode code =
+            stream_decode({mutated.data(), mutated.size()}, *slices, &out);
+        EXPECT_EQ(code, one_shot.code)
+            << (slices == &frames ? "64 KiB slices" : "fuzzed partition")
+            << " must classify like one-shot (trial " << trial << ", rep "
+            << rep << ")";
+        if (code == ExitCode::kSuccess) EXPECT_EQ(out, one_shot.data);
+      }
+    }
+  }
+}
+
+TEST(DecodeSession, LowestIndexFailingSegmentWinsOnEveryPath) {
+  // Two segments of one container fail with different codes: an all-zero
+  // stream decodes to too few bytes (kNotAnImage), an all-0xFF stream to a
+  // symbol its Huffman tables cannot code (kImpossible). Whichever of them
+  // finishes first, every path reports the lower-index segment's code.
+  auto file = large_jpeg(919);
+  auto lep = encode_or_die({file.data(), file.size()}, 4);
+  const auto parsed = lepton::core::parse_container({lep.data(), lep.size()});
+  ASSERT_EQ(parsed.arith.size(), 4u);
+  lepton::DecodeOptions serial;
+  serial.run_parallel = false;
+  lepton::util::Rng rng(8);
+  for (auto [zeros, ones] : {std::pair{1, 2}, std::pair{2, 1}}) {
+    auto arith = parsed.arith;
+    std::fill(arith[zeros].begin(), arith[zeros].end(), 0x00);
+    std::fill(arith[ones].begin(), arith[ones].end(), 0xFF);
+    const auto bad = lepton::core::serialize_container(parsed.header, arith);
+    const ExitCode want =
+        zeros < ones ? ExitCode::kNotAnImage : ExitCode::kImpossible;
+    std::vector<std::size_t> frames(bad.size() / kFrame + 1, kFrame);
+    for (int rep = 0; rep < 2; ++rep) {
+      EXPECT_EQ(lepton::decode_lepton({bad.data(), bad.size()}).code, want)
+          << "one-shot, zeros in segment " << zeros;
+      EXPECT_EQ(lepton::decode_lepton({bad.data(), bad.size()}, serial).code,
+                want)
+          << "serial one-shot, zeros in segment " << zeros;
+      std::vector<std::uint8_t> out;
+      EXPECT_EQ(stream_decode({bad.data(), bad.size()}, frames, &out), want)
+          << "64 KiB slices, zeros in segment " << zeros;
+      EXPECT_EQ(stream_decode({bad.data(), bad.size()},
+                              fuzz_partition(bad.size(), rng), &out),
+                want)
+          << "fuzzed partition, zeros in segment " << zeros;
+    }
+  }
+}
+
+TEST(DecodeSession, HostileOutputLengthIsNotReserved) {
+  // A segment's declared output length sizes its buffer in the emitter,
+  // but only up to twice the bytes of its stream: a header declaring a
+  // 1 TiB segment still classifies as the short segment it is.
+  auto file = large_jpeg(920);
+  auto lep = encode_or_die({file.data(), file.size()}, 4);
+  auto parsed = lepton::core::parse_container({lep.data(), lep.size()});
+  ASSERT_EQ(parsed.header.segments.size(), 4u);
+  parsed.header.segments[2].out_len = std::uint64_t{1} << 40;
+  const auto bad =
+      lepton::core::serialize_container(parsed.header, parsed.arith);
+  std::vector<std::size_t> frames(bad.size() / kFrame + 1, kFrame);
+  EXPECT_EQ(lepton::decode_lepton({bad.data(), bad.size()}).code,
+            ExitCode::kNotAnImage);
+  std::vector<std::uint8_t> out;
+  EXPECT_EQ(stream_decode({bad.data(), bad.size()}, frames, &out),
+            ExitCode::kNotAnImage);
 }
 
 TEST(DecodeSession, NonLeptonStreamRejectedAtFirstBytes) {
@@ -247,7 +382,7 @@ TEST(DecodeSession, EagerSegmentsDecodeWhileTailInFlight) {
   lepton::VectorSink sink;
   lepton::DecodeSession session(sink);
   // Hold back the final slice: some segments' streams are complete and must
-  // have been decoded eagerly before finish().
+  // have been handed to the pool before finish().
   std::size_t hold = 64;
   ASSERT_LT(hold, lep.size());
   ASSERT_EQ(session.feed({lep.data(), lep.size() - hold}), ExitCode::kSuccess);
@@ -257,7 +392,7 @@ TEST(DecodeSession, EagerSegmentsDecodeWhileTailInFlight) {
   ASSERT_EQ(session.finish(), ExitCode::kSuccess);
   EXPECT_EQ(sink.data, file);
   EXPECT_GT(decoded_mid_stream, 0u)
-      << "segments with complete streams decode before the container ends";
+      << "segments with complete streams start before the container ends";
 }
 
 TEST(DecodeSession, TruncatedFinishStillReportsEagerConsumptionFacts) {
@@ -265,14 +400,135 @@ TEST(DecodeSession, TruncatedFinishStillReportsEagerConsumptionFacts) {
   auto lep = encode_or_die({file.data(), file.size()}, 4);
   lepton::VectorSink sink;
   lepton::DecodeSession session(sink);
-  // Everything but the tail: earlier segments complete and decode eagerly,
-  // the last stream stays open.
+  // Everything but the tail: earlier segments complete and are handed to the
+  // pool, the last stream stays open. finish() waits for them, so what they
+  // learned reaches the stats.
   ASSERT_EQ(session.feed({lep.data(), lep.size() - 16}), ExitCode::kSuccess);
   ASSERT_GT(session.segments_decoded(), 0u);
   lepton::DecodeStats stats;
   EXPECT_EQ(session.finish(&stats), ExitCode::kShortRead);
   EXPECT_GT(stats.payload_consumed, 0u)
-      << "failure paths must not discard what the eager segments learned";
+      << "failure paths must not discard what the handed-off segments learned";
+}
+
+namespace {
+
+// Lets the first append (the verbatim header prefix, emitted by feed()
+// itself) through, then holds every later append until release().
+class GateSink : public lepton::ByteSink {
+ public:
+  void append(std::span<const std::uint8_t> b) override {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (appends_++ > 0) cv_.wait(lk, [this] { return open_; });
+    data_.insert(data_.end(), b.begin(), b.end());
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  std::vector<std::uint8_t> data() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return data_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  int appends_ = 0;
+  std::vector<std::uint8_t> data_;
+};
+
+// Counts appends and stalls each one after the prefix for a moment, so a
+// handed-off segment spends its decode inside append().
+class SlowSink : public lepton::ByteSink {
+ public:
+  void append(std::span<const std::uint8_t>) override {
+    busy.fetch_add(1);
+    if (appends.fetch_add(1) > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    busy.fetch_sub(1);
+  }
+  std::atomic<int> appends{0};
+  std::atomic<int> busy{0};  // append() calls in progress
+};
+
+}  // namespace
+
+TEST(DecodeSession, FeedDoesNotWaitOnSegmentDecode) {
+  // leptond feeds a DECODE body frame by frame on its connection thread.
+  // A segment whose stream completes mid-body must decode on the pool, not
+  // inside feed(): with the sink held shut, every segment decode stalls,
+  // and feed() must still come back for the next frame.
+  auto file = large_jpeg(917);
+  auto lep = encode_or_die({file.data(), file.size()}, 4);
+  const std::size_t last = last_frame_offset(lep.size());
+  lepton::CodecContext ctx(4);
+  GateSink sink;
+  lepton::DecodeSession session(sink, {}, &ctx);
+  auto fed = std::async(std::launch::async, [&] {
+    return feed_frames(session, {lep.data(), lep.size()}, last);
+  });
+  const bool returned =
+      fed.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  sink.release();  // either way: a feed stuck in the sink must not hang
+  EXPECT_TRUE(returned)
+      << "feed() waited on a segment decode held up by the sink";
+  ASSERT_EQ(fed.get(), ExitCode::kSuccess);
+  EXPECT_GT(session.segments_decoded(), 0u)
+      << "segments with complete streams are handed off mid-stream";
+  ASSERT_EQ(session.feed({lep.data() + last, lep.size() - last}),
+            ExitCode::kSuccess);
+  ASSERT_EQ(session.finish(), ExitCode::kSuccess);
+  EXPECT_EQ(sink.data(), file);
+}
+
+TEST(DecodeSession, DroppedUnfinishedSessionWaitsForHandedOffSegments) {
+  // The service's hang-up path: the request's control is cancelled and the
+  // session destroyed without finish(). One pool worker, so one handed-off
+  // segment is running and the others still queued when the session goes;
+  // the running one must finish before the destructor returns, and the
+  // queued ones must never touch the dead session (ASan/TSan keep the
+  // second half honest).
+  auto file = large_jpeg(918);
+  auto lep = encode_or_die({file.data(), file.size()}, 4);
+  lepton::CodecContext ctx(1);
+  auto sink = std::make_unique<SlowSink>();
+  auto session = std::make_unique<lepton::DecodeSession>(
+      *sink, lepton::DecodeOptions{}, &ctx);
+  ASSERT_EQ(feed_frames(*session, {lep.data(), lep.size()},
+                        last_frame_offset(lep.size())),
+            ExitCode::kSuccess);
+  ASSERT_GE(session->segments_decoded(), 2u);
+  // Drop the session only once the first handed-off segment is writing.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (sink->appends.load() < 3 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  ASSERT_GE(sink->appends.load(), 3);
+  session->control().request_cancel();
+  session.reset();
+  EXPECT_EQ(sink->busy.load(), 0)
+      << "a segment was still writing when its session was destroyed";
+  const int appends_at_drop = sink->appends.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(sink->appends.load(), appends_at_drop)
+      << "a segment wrote to the sink after its session was destroyed";
+  sink.reset();
+
+  // The context's worker is free again for the next request.
+  lepton::VectorSink out;
+  lepton::DecodeSession next(out, {}, &ctx);
+  ASSERT_EQ(feed_frames(next, {lep.data(), lep.size()}, lep.size()),
+            ExitCode::kSuccess);
+  ASSERT_EQ(next.finish(), ExitCode::kSuccess);
+  EXPECT_EQ(out.data, file);
 }
 
 TEST(Sessions, LateFeedDoesNotPoisonFinishedSession) {
