@@ -12,8 +12,10 @@
 //                  against
 //
 // Also reports pure-dedup put throughput (second copy of every key — no
-// object I/O, journal append only) and the recovery-scan rate. Appends a
-// "bench": "store" entry to the BENCH_hotpath.json trajectory.
+// object I/O, journal append only), the recovery-scan time, and beside it
+// the one-thread util::Md5 rate that bounds it (one-shot over 64 MiB, best
+// of 3): recovery md5-verifies every object, spread over the cores. Appends
+// a "bench": "store" entry to the BENCH_hotpath.json trajectory.
 //
 // Flags: --full for the larger corpus band, --out <path> for the JSON,
 // --pr <n> for the trajectory entry id (default: this PR).
@@ -26,10 +28,12 @@
 
 #include "bench_common.h"
 #include "storage/durable_store.h"
+#include "util/md5.h"
+#include "util/rng.h"
 
 namespace {
 
-constexpr int kCurrentPr = 9;
+constexpr int kCurrentPr = 15;
 
 using lepton::storage::DurableStore;
 using lepton::storage::DurableStoreConfig;
@@ -109,6 +113,19 @@ StoreRun run_mode(const std::vector<lepton::corpus::CorpusFile>& files,
   return r;
 }
 
+// One-shot util::Md5 over a 64 MiB buffer, best of 3 (MB = 2^20 bytes).
+double md5_MBps() {
+  std::vector<std::uint8_t> buf(64 << 20);
+  lepton::util::Rng rng(5);
+  for (std::size_t i = 0; i < buf.size(); i += 8) {
+    std::uint64_t v = rng.next();
+    std::memcpy(buf.data() + i, &v, 8);
+  }
+  double s = bench::best_of(
+      3, [&] { lepton::util::Md5::digest({buf.data(), buf.size()}); });
+  return 64.0 / s;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,6 +162,11 @@ int main(int argc, char** argv) {
   const StoreRun& always = modes[0].run;
   const StoreRun& batch = modes[1].run;
   const StoreRun& off = modes[2].run;
+  double md5_rate = md5_MBps();
+  std::printf("\nrecovery: reopen_verify_s %.3f (fsync=always, full md5 "
+              "verify), md5 %.0f MB/s per thread (one-shot, 64 MiB, best of "
+              "3)\n",
+              always.reopen_s, md5_rate);
   std::printf(
       "\ndurability overhead: always/off put fraction %.3f, batch/off %.3f\n",
       off.put_MBps > 0 ? always.put_MBps / off.put_MBps : 0.0,
@@ -169,6 +191,7 @@ int main(int argc, char** argv) {
                "  \"dedup_put_fsync_MBps\": %.2f,\n"
                "  \"get_MBps\": %.2f,\n"
                "  \"reopen_verify_s\": %.3f,\n"
+               "  \"md5_MBps\": %.1f,\n"
                "  \"fsync_overhead_fraction\": %.3f,\n"
                "  \"batch_overhead_fraction\": %.3f,\n"
                "  \"hardware_concurrency\": %u,\n"
@@ -177,7 +200,7 @@ int main(int argc, char** argv) {
                "}\n"
                "]\n",
                pr, always.put_MBps, batch.put_MBps, off.put_MBps,
-               always.dedup_put_MBps, off.get_MBps, always.reopen_s,
+               always.dedup_put_MBps, off.get_MBps, always.reopen_s, md5_rate,
                off.put_MBps > 0 ? always.put_MBps / off.put_MBps : 0.0,
                off.put_MBps > 0 ? batch.put_MBps / off.put_MBps : 0.0,
                bench::hardware_concurrency(), files.size(), in_mb);

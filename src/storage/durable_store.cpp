@@ -9,11 +9,13 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "lepton/context.h"
 #include "storage/scrubber.h"
 #include "util/fileio.h"
 #include "util/md5.h"
+#include "util/thread_pool.h"
 
 namespace lepton::storage {
 namespace fio = util::fileio;
@@ -140,6 +142,48 @@ bool file_size(const std::string& path, std::uint64_t* out) {
   return true;
 }
 
+// What one read of an object file proved about it.
+enum class ObjectCheck { kGood, kMismatch, kReadError };
+
+// The per-object verify routine of recovery and the scrubber: streams
+// `path` through a fixed buffer into the md5, then compares the byte count
+// and digest with the journal's. Memory stays one buffer per caller however
+// large the object. A failed open or read is kReadError, never kMismatch.
+// `keep`, when set, also receives the bytes (the scrubber's decode
+// spot-check). Raw I/O: repair-side, not injectable.
+ObjectCheck check_object(const std::string& path, std::uint64_t size,
+                         const std::string& md5_hex, std::uint64_t* bytes_read,
+                         std::vector<std::uint8_t>* keep) {
+  *bytes_read = 0;
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return ObjectCheck::kReadError;
+  if (keep != nullptr) {
+    keep->clear();
+    struct stat st{};
+    if (::fstat(fd, &st) == 0) {
+      keep->reserve(static_cast<std::size_t>(st.st_size));
+    }
+  }
+  util::Md5 md5;
+  std::uint8_t buf[1 << 16];
+  for (;;) {
+    ssize_t r = ::read(fd, buf, sizeof buf);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return ObjectCheck::kReadError;
+    }
+    if (r == 0) break;
+    md5.update({buf, static_cast<std::size_t>(r)});
+    if (keep != nullptr) keep->insert(keep->end(), buf, buf + r);
+    *bytes_read += static_cast<std::uint64_t>(r);
+  }
+  ::close(fd);
+  return *bytes_read == size && util::Md5::hex(md5.final()) == md5_hex
+             ? ObjectCheck::kGood
+             : ObjectCheck::kMismatch;
+}
+
 // Raw (unrouted) append for the quarantine reason log — repair-side I/O
 // must keep working while a chaos schedule is armed against the commit
 // path.
@@ -253,47 +297,82 @@ bool DurableStore::recover(std::string* err) {
   std::map<std::string, std::vector<std::string>> md5_keys;
   for (const auto& [key, e] : index) md5_keys[e.md5_hex].push_back(key);
 
-  // 2. Sweep the fanout: temps → quarantine, unreferenced → quarantine,
-  //    referenced → verify size (+ md5 when configured).
+  // 2. Sweep the fanout in three passes. Classify, serially and without
+  //    reading object contents: temps, unreferenced files, size mismatches.
+  //    Verify, in parallel: md5 every referenced object whose size matched
+  //    (when configured), largest first. Apply, serially in sweep order:
+  //    quarantine and drop keys. Verdicts never depend on one another, and
+  //    every action happens in the order one thread sweeping alone would
+  //    take it, so quarantine names, reasons.log and the report are the
+  //    same whatever the thread count.
+  struct SweepItem {
+    std::string rel;  // objects/<aa>
+    std::string name;
+    std::uint64_t size = 0;  // on disk
+    bool good = false;       // size, then md5 when verified, match the journal
+  };
+  std::vector<SweepItem> sweep;
+  std::vector<std::size_t> to_verify;
   std::string objects_root = cfg_.root + "/" + kObjectsDir;
   for (const std::string& fan : fio::list_dirs(objects_root)) {
-    for (const std::string& name : fio::list_files(objects_root + "/" + fan)) {
-      std::string rel = std::string(kObjectsDir) + "/" + fan;
-      if (name.rfind(kTempPrefix, 0) == 0) {
-        if (quarantine_file(rel, name, "torn/partial commit (temp file)")) {
-          ++rep.temps_quarantined;
+    std::string rel = std::string(kObjectsDir) + "/" + fan;
+    for (std::string& name : fio::list_files(objects_root + "/" + fan)) {
+      SweepItem item{rel, std::move(name)};
+      auto it = md5_keys.find(item.name);
+      if (it != md5_keys.end()) {
+        item.good = file_size(cfg_.root + "/" + rel + "/" + item.name,
+                              &item.size) &&
+                    item.size == index.at(it->second.front()).size;
+        if (item.good && cfg_.verify_md5_on_open) {
+          to_verify.push_back(sweep.size());
         }
-        continue;
       }
-      auto it = md5_keys.find(name);
-      if (it == md5_keys.end()) {
-        // Present on disk, never acknowledged (the crash landed between
-        // rename and journal append) — or its journal record was corrupted.
-        if (quarantine_file(rel, name, "orphaned (no valid journal record)")) {
-          ++rep.orphans_quarantined;
-        }
-        continue;
+      sweep.push_back(std::move(item));
+    }
+  }
+  std::stable_sort(to_verify.begin(), to_verify.end(),
+                   [&sweep](std::size_t a, std::size_t b) {
+                     return sweep[a].size > sweep[b].size;
+                   });
+  util::parallel_for_segments(
+      static_cast<int>(to_verify.size()),
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())),
+      [&](int k) {
+        SweepItem& item = sweep[to_verify[static_cast<std::size_t>(k)]];
+        std::uint64_t read = 0;
+        item.good = check_object(cfg_.root + "/" + item.rel + "/" + item.name,
+                                 item.size, item.name, &read,
+                                 nullptr) == ObjectCheck::kGood;
+      });
+  for (const SweepItem& item : sweep) {
+    if (item.name.rfind(kTempPrefix, 0) == 0) {
+      if (quarantine_file(item.rel, item.name,
+                          "torn/partial commit (temp file)")) {
+        ++rep.temps_quarantined;
       }
-      std::string path = objects_root + "/" + fan + "/" + name;
-      std::uint64_t sz = 0;
-      bool good = file_size(path, &sz);
-      std::uint64_t want = index[it->second.front()].size;
-      if (good && sz != want) good = false;
-      if (good && cfg_.verify_md5_on_open) {
-        std::vector<std::uint8_t> bytes;
-        good = fio::read_file(path, &bytes) &&
-               util::Md5::hex_digest({bytes.data(), bytes.size()}) == name;
+      continue;
+    }
+    auto it = md5_keys.find(item.name);
+    if (it == md5_keys.end()) {
+      // Present on disk, never acknowledged (the crash landed between
+      // rename and journal append) — or its journal record was corrupted.
+      // Also a second copy of a content address whose first copy just
+      // failed its check.
+      if (quarantine_file(item.rel, item.name,
+                          "orphaned (no valid journal record)")) {
+        ++rep.orphans_quarantined;
       }
-      if (!good) {
-        if (quarantine_file(rel, name, "payload mismatch at recovery "
-                                       "(size or md5 vs journal)")) {
-          ++rep.corrupt_quarantined;
-        }
-        rep.keys_lost += it->second.size();
-        for (const std::string& k : it->second) index.erase(k);
-        md5_keys.erase(it);
-        continue;
+      continue;
+    }
+    if (!item.good) {
+      if (quarantine_file(item.rel, item.name,
+                          "payload mismatch at recovery "
+                          "(size or md5 vs journal)")) {
+        ++rep.corrupt_quarantined;
       }
+      rep.keys_lost += it->second.size();
+      for (const std::string& k : it->second) index.erase(k);
+      md5_keys.erase(it);
     }
   }
   // Journal entries whose object file is missing entirely: acknowledged
@@ -665,8 +744,13 @@ std::vector<DurableStore::ScrubItem> DurableStore::scrub_snapshot() const {
 
 std::uint64_t DurableStore::scrub_verify_object(const ScrubItem& item,
                                                 bool decode_check) {
+  decode_check = decode_check && item.kind == StorageKind::kLepton;
   std::vector<std::uint8_t> bytes;
-  if (!fio::read_file(object_path(item.md5_hex), &bytes)) {
+  std::uint64_t read = 0;
+  ObjectCheck check = check_object(object_path(item.md5_hex), item.size,
+                                   item.md5_hex, &read,
+                                   decode_check ? &bytes : nullptr);
+  if (check == ObjectCheck::kReadError) {
     // Same rule as get(): a failed read proves nothing about the bytes on
     // disk. Count it and move on — the next pass (or a get) retries; only
     // a verified mismatch of successfully-read bytes may quarantine.
@@ -675,11 +759,9 @@ std::uint64_t DurableStore::scrub_verify_object(const ScrubItem& item,
     ++stats_.scrub_read_errors;
     return 0;
   }
-  bool good = bytes.size() == item.size &&
-              util::Md5::hex_digest({bytes.data(), bytes.size()}) ==
-                  item.md5_hex;
+  bool good = check == ObjectCheck::kGood;
   bool decode_ok = true;
-  if (good && decode_check && item.kind == StorageKind::kLepton) {
+  if (good && decode_check) {
     // Decode spot-check: the container must still decode cleanly with its
     // payload exactly consumed — the §5.7 facts get() would require.
     VectorSink sink;
@@ -690,11 +772,9 @@ std::uint64_t DurableStore::scrub_verify_object(const ScrubItem& item,
   }
   std::lock_guard<std::mutex> lk(mu_);
   ++stats_.scrub_objects_checked;
-  stats_.scrub_bytes_read += bytes.size();
-  if (decode_check && item.kind == StorageKind::kLepton) {
-    ++stats_.scrub_decode_checks;
-  }
-  if (good && decode_ok) return bytes.size();
+  stats_.scrub_bytes_read += read;
+  if (decode_check) ++stats_.scrub_decode_checks;
+  if (good && decode_ok) return read;
   ++stats_.scrub_corrupt_found;
   if (quarantine_file(
           std::string(kObjectsDir) + "/" + item.md5_hex.substr(0, 2),
@@ -702,7 +782,7 @@ std::uint64_t DurableStore::scrub_verify_object(const ScrubItem& item,
           good ? "decode spot-check failed (scrub)" : "md5 mismatch (scrub)")) {
   }
   drop_keys_with_md5_locked(item.md5_hex);
-  return bytes.size();
+  return read;
 }
 
 void DurableStore::scrub_verify_journal() {

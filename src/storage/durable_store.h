@@ -34,8 +34,11 @@
 // dropped), sweep temp files and unreferenced objects into `quarantine/`
 // with a reason line (bytes are NEVER deleted — quarantine is a move), and
 // verify size+md5 of every referenced object; a mismatch quarantines the
-// file and reports the keys as lost (fsck exits nonzero on loss). The
-// journal is then rewritten compacted, atomically.
+// file and reports the keys as lost (fsck exits nonzero on loss). The md5
+// verdicts are computed on every core, largest object first; the moves and
+// key drops then happen on one thread in sweep order, so quarantine names,
+// reasons.log and the RecoveryReport do not depend on the thread count.
+// The journal is then rewritten compacted, atomically.
 //
 // Failed commits are first-class outcomes: ENOSPC/EDQUOT classify as
 // kDiskFull, other I/O errors as kIoError (never kImpossible), the temp
@@ -75,7 +78,8 @@ struct DurableStoreConfig {
   std::size_t batch_puts = 16;
   // Recovery verifies size of every referenced object always; full md5
   // re-verification can be skipped for large stores (the scrubber then
-  // covers it incrementally).
+  // covers it incrementally). It costs about the referenced bytes ÷
+  // (cores × one core's md5 rate), and at least the largest object's md5.
   bool verify_md5_on_open = true;
   EncodeOptions encode;  // TransparentStore codec policy
 };

@@ -153,19 +153,31 @@ IoStatus write_file_atomic(const std::string& path,
 bool read_file(const std::string& path, std::vector<std::uint8_t>* out) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return false;
-  out->clear();
-  std::uint8_t buf[1 << 16];
+  // Sized once from fstat and read straight into place. The file may still
+  // change size under the read: a short file ends at EOF, and the bytes of
+  // one that grew arrive through `more`; either way *out holds exactly the
+  // bytes read.
+  struct stat st{};
+  out->resize(::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)
+                  ? static_cast<std::size_t>(st.st_size)
+                  : 0);
+  std::size_t len = 0;
+  std::uint8_t more[1 << 16];
   for (;;) {
-    ssize_t r = ::read(fd, buf, sizeof buf);
+    bool full = len == out->size();
+    ssize_t r = full ? ::read(fd, more, sizeof more)
+                     : ::read(fd, out->data() + len, out->size() - len);
     if (r < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
       return false;
     }
     if (r == 0) break;
-    out->insert(out->end(), buf, buf + r);
+    if (full) out->insert(out->end(), more, more + r);
+    len += static_cast<std::size_t>(r);
   }
   ::close(fd);
+  out->resize(len);
   return true;
 }
 

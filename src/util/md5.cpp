@@ -5,63 +5,115 @@
 namespace lepton::util {
 namespace {
 
-constexpr std::array<std::uint32_t, 64> kT = {
-    0xd76aa478u, 0xe8c7b756u, 0x242070dbu, 0xc1bdceeeu, 0xf57c0fafu,
-    0x4787c62au, 0xa8304613u, 0xfd469501u, 0x698098d8u, 0x8b44f7afu,
-    0xffff5bb1u, 0x895cd7beu, 0x6b901122u, 0xfd987193u, 0xa679438eu,
-    0x49b40821u, 0xf61e2562u, 0xc040b340u, 0x265e5a51u, 0xe9b6c7aau,
-    0xd62f105du, 0x02441453u, 0xd8a1e681u, 0xe7d3fbc8u, 0x21e1cde6u,
-    0xc33707d6u, 0xf4d50d87u, 0x455a14edu, 0xa9e3e905u, 0xfcefa3f8u,
-    0x676f02d9u, 0x8d2a4c8au, 0xfffa3942u, 0x8771f681u, 0x6d9d6122u,
-    0xfde5380cu, 0xa4beea44u, 0x4bdecfa9u, 0xf6bb4b60u, 0xbebfbc70u,
-    0x289b7ec6u, 0xeaa127fau, 0xd4ef3085u, 0x04881d05u, 0xd9d4d039u,
-    0xe6db99e5u, 0x1fa27cf8u, 0xc4ac5665u, 0xf4292244u, 0x432aff97u,
-    0xab9423a7u, 0xfc93a039u, 0x655b59c3u, 0x8f0ccc92u, 0xffeff47du,
-    0x85845dd1u, 0x6fa87e4fu, 0xfe2ce6e0u, 0xa3014314u, 0x4e0811a1u,
-    0xf7537e82u, 0xbd3af235u, 0x2ad7d2bbu, 0xeb86d391u};
+// The RFC 1321 auxiliary functions in forms that shorten the dependency
+// chain through `x` (the previous step's result); the truth tables are the
+// RFC's. G's two terms never share a set bit, so its OR is an ADD and the
+// half that does not depend on `x` can be summed in early.
+inline std::uint32_t F(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+  return z ^ (x & (y ^ z));
+}
+inline std::uint32_t G(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+  return (x & z) + (y & ~z);
+}
+inline std::uint32_t H(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+  return x ^ y ^ z;
+}
+inline std::uint32_t I(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+  return y ^ (x | ~z);
+}
 
-constexpr std::array<int, 64> kShift = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
+template <int S>
+inline std::uint32_t rotl(std::uint32_t v) {
+  return (v << S) | (v >> (32 - S));
+}
 
-std::uint32_t rotl(std::uint32_t x, int c) {
-  return (x << c) | (x >> (32 - c));
+// One RFC 1321 step: a = b + ((a + fn(b, c, d) + x + t) <<< s).
+template <std::uint32_t (*Fn)(std::uint32_t, std::uint32_t, std::uint32_t),
+          int S>
+inline void step(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+                 std::uint32_t d, std::uint32_t x, std::uint32_t t) {
+  a = b + rotl<S>(a + Fn(b, c, d) + x + t);
 }
 
 }  // namespace
 
 Md5::Md5() : state_{0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u} {}
 
+// The straight-line round form: every constant and rotate count is an
+// immediate and no step branches or loads a table entry.
 void Md5::process_block(const std::uint8_t* block) {
   std::uint32_t m[16];
-  for (int i = 0; i < 16; ++i) {
-    std::memcpy(&m[i], block + 4 * i, 4);  // little-endian host assumed (x86)
-  }
+  std::memcpy(m, block, 64);  // little-endian host assumed (x86)
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) & 15;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) & 15;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) & 15;
-    }
-    std::uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + rotl(a + f + kT[i] + m[g], kShift[i]);
-    a = tmp;
-  }
+
+  step<F, 7>(a, b, c, d, m[0], 0xd76aa478u);
+  step<F, 12>(d, a, b, c, m[1], 0xe8c7b756u);
+  step<F, 17>(c, d, a, b, m[2], 0x242070dbu);
+  step<F, 22>(b, c, d, a, m[3], 0xc1bdceeeu);
+  step<F, 7>(a, b, c, d, m[4], 0xf57c0fafu);
+  step<F, 12>(d, a, b, c, m[5], 0x4787c62au);
+  step<F, 17>(c, d, a, b, m[6], 0xa8304613u);
+  step<F, 22>(b, c, d, a, m[7], 0xfd469501u);
+  step<F, 7>(a, b, c, d, m[8], 0x698098d8u);
+  step<F, 12>(d, a, b, c, m[9], 0x8b44f7afu);
+  step<F, 17>(c, d, a, b, m[10], 0xffff5bb1u);
+  step<F, 22>(b, c, d, a, m[11], 0x895cd7beu);
+  step<F, 7>(a, b, c, d, m[12], 0x6b901122u);
+  step<F, 12>(d, a, b, c, m[13], 0xfd987193u);
+  step<F, 17>(c, d, a, b, m[14], 0xa679438eu);
+  step<F, 22>(b, c, d, a, m[15], 0x49b40821u);
+
+  step<G, 5>(a, b, c, d, m[1], 0xf61e2562u);
+  step<G, 9>(d, a, b, c, m[6], 0xc040b340u);
+  step<G, 14>(c, d, a, b, m[11], 0x265e5a51u);
+  step<G, 20>(b, c, d, a, m[0], 0xe9b6c7aau);
+  step<G, 5>(a, b, c, d, m[5], 0xd62f105du);
+  step<G, 9>(d, a, b, c, m[10], 0x02441453u);
+  step<G, 14>(c, d, a, b, m[15], 0xd8a1e681u);
+  step<G, 20>(b, c, d, a, m[4], 0xe7d3fbc8u);
+  step<G, 5>(a, b, c, d, m[9], 0x21e1cde6u);
+  step<G, 9>(d, a, b, c, m[14], 0xc33707d6u);
+  step<G, 14>(c, d, a, b, m[3], 0xf4d50d87u);
+  step<G, 20>(b, c, d, a, m[8], 0x455a14edu);
+  step<G, 5>(a, b, c, d, m[13], 0xa9e3e905u);
+  step<G, 9>(d, a, b, c, m[2], 0xfcefa3f8u);
+  step<G, 14>(c, d, a, b, m[7], 0x676f02d9u);
+  step<G, 20>(b, c, d, a, m[12], 0x8d2a4c8au);
+
+  step<H, 4>(a, b, c, d, m[5], 0xfffa3942u);
+  step<H, 11>(d, a, b, c, m[8], 0x8771f681u);
+  step<H, 16>(c, d, a, b, m[11], 0x6d9d6122u);
+  step<H, 23>(b, c, d, a, m[14], 0xfde5380cu);
+  step<H, 4>(a, b, c, d, m[1], 0xa4beea44u);
+  step<H, 11>(d, a, b, c, m[4], 0x4bdecfa9u);
+  step<H, 16>(c, d, a, b, m[7], 0xf6bb4b60u);
+  step<H, 23>(b, c, d, a, m[10], 0xbebfbc70u);
+  step<H, 4>(a, b, c, d, m[13], 0x289b7ec6u);
+  step<H, 11>(d, a, b, c, m[0], 0xeaa127fau);
+  step<H, 16>(c, d, a, b, m[3], 0xd4ef3085u);
+  step<H, 23>(b, c, d, a, m[6], 0x04881d05u);
+  step<H, 4>(a, b, c, d, m[9], 0xd9d4d039u);
+  step<H, 11>(d, a, b, c, m[12], 0xe6db99e5u);
+  step<H, 16>(c, d, a, b, m[15], 0x1fa27cf8u);
+  step<H, 23>(b, c, d, a, m[2], 0xc4ac5665u);
+
+  step<I, 6>(a, b, c, d, m[0], 0xf4292244u);
+  step<I, 10>(d, a, b, c, m[7], 0x432aff97u);
+  step<I, 15>(c, d, a, b, m[14], 0xab9423a7u);
+  step<I, 21>(b, c, d, a, m[5], 0xfc93a039u);
+  step<I, 6>(a, b, c, d, m[12], 0x655b59c3u);
+  step<I, 10>(d, a, b, c, m[3], 0x8f0ccc92u);
+  step<I, 15>(c, d, a, b, m[10], 0xffeff47du);
+  step<I, 21>(b, c, d, a, m[1], 0x85845dd1u);
+  step<I, 6>(a, b, c, d, m[8], 0x6fa87e4fu);
+  step<I, 10>(d, a, b, c, m[15], 0xfe2ce6e0u);
+  step<I, 15>(c, d, a, b, m[6], 0xa3014314u);
+  step<I, 21>(b, c, d, a, m[13], 0x4e0811a1u);
+  step<I, 6>(a, b, c, d, m[4], 0xf7537e82u);
+  step<I, 10>(d, a, b, c, m[11], 0xbd3af235u);
+  step<I, 15>(c, d, a, b, m[2], 0x2ad7d2bbu);
+  step<I, 21>(b, c, d, a, m[9], 0xeb86d391u);
+
   state_[0] += a;
   state_[1] += b;
   state_[2] += c;
@@ -112,13 +164,16 @@ std::array<std::uint8_t, 16> Md5::digest(std::span<const std::uint8_t> data) {
 }
 
 std::string Md5::hex_digest(std::span<const std::uint8_t> data) {
-  auto d = digest(data);
-  static const char* hex = "0123456789abcdef";
+  return hex(digest(data));
+}
+
+std::string Md5::hex(const std::array<std::uint8_t, 16>& sum) {
+  static const char* digits = "0123456789abcdef";
   std::string s;
   s.reserve(32);
-  for (std::uint8_t b : d) {
-    s.push_back(hex[b >> 4]);
-    s.push_back(hex[b & 15]);
+  for (std::uint8_t b : sum) {
+    s.push_back(digits[b >> 4]);
+    s.push_back(digits[b & 15]);
   }
   return s;
 }

@@ -1,7 +1,9 @@
 // MD5 (RFC 1321). Production Lepton md5sums the compressed file before the
 // round-trip test so in-memory corruption between check and admit is caught
-// (§5.7). Used here by the TransparentStore admit path and the safety tests.
-// Not for security; for integrity-of-buffer checks exactly as deployed.
+// (§5.7). Used here by the TransparentStore admit path, every DurableStore
+// read and its recovery sweep, leptond's decode-cache key, and the safety
+// tests. Not for security; for integrity-of-buffer checks exactly as
+// deployed.
 #pragma once
 
 #include <array>
@@ -20,6 +22,8 @@ class Md5 {
   static std::array<std::uint8_t, 16> digest(
       std::span<const std::uint8_t> data);
   static std::string hex_digest(std::span<const std::uint8_t> data);
+  // Lower-case hex of a digest, as hex_digest() spells it.
+  static std::string hex(const std::array<std::uint8_t, 16>& sum);
 
  private:
   void process_block(const std::uint8_t* block);

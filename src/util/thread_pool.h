@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -124,19 +125,42 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// Runs `fn(i)` for i in [0, n) on up to `threads` concurrent std::threads
-// and joins them all (RAII-style structured parallelism; simpler than the
-// pool when each codec job owns its segment workers, as Lepton does).
+// Runs `fn(i)` for i in [0, n) on up to `threads` concurrent threads, the
+// calling thread included, and returns once every call has finished. Each
+// thread claims the next unclaimed index until none is left, so indices
+// start in order (sort the work largest first to balance it). Structured
+// parallelism for one-off jobs that run outside any pool, such as the
+// recovery sweep. With `threads` or `n` at most 1 no thread is started; if
+// starting one fails, the threads already running finish the range. Every
+// started thread is joined before return, on every path. `fn` must not
+// throw.
 template <typename Fn>
 void parallel_for_segments(int n, int threads, Fn&& fn) {
-  if (threads <= 1 || n <= 1) {
+  int workers = threads < n ? threads : n;
+  if (workers <= 1) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::vector<std::thread> ts;
-  ts.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) ts.emplace_back([&fn, i] { fn(i); });
-  for (auto& t : ts) t.join();
+  std::atomic<int> next{0};
+  auto drain = [&next, &fn, n] {
+    for (int i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) fn(i);
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(static_cast<std::size_t>(workers - 1));
+  struct JoinAll {
+    std::vector<std::thread>& ts;
+    ~JoinAll() {
+      for (auto& t : ts) t.join();
+    }
+  } join_all{helpers};
+  for (int w = 1; w < workers; ++w) {
+    try {
+      helpers.emplace_back(drain);
+    } catch (const std::system_error&) {
+      break;  // out of threads: the ones already started do the rest
+    }
+  }
+  drain();
 }
 
 }  // namespace lepton::util

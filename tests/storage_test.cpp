@@ -238,10 +238,16 @@ TEST(Thp, DisablingThpFixesTailNotMedian) {
 // invariant: acknowledged => readable byte-identical; unacknowledged =>
 // absent, quarantined, or fully intact — never half-served.
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "corpus/corpus.h"
@@ -249,6 +255,7 @@ TEST(Thp, DisablingThpFixesTailNotMedian) {
 #include "util/failpoint.h"
 #include "util/fileio.h"
 #include "util/md5.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -841,6 +848,191 @@ TEST(DurableStore, DedupPutFailsWhenDirectoryBarrierFails) {
   ps = s->put("b", {jpeg.data(), jpeg.size()});
   EXPECT_TRUE(ps.acknowledged);
   EXPECT_TRUE(ps.deduplicated);
+}
+
+// A store damaged the same way every time it is built: 72 passthrough
+// objects of 1-128 KiB spread over the md5 fanout (two of them under a
+// second key), then one flipped byte in each of three objects, one
+// truncated object, a torn temp and an orphan. The operations and their
+// order are fixed, so two builds list their directories identically.
+struct DamagedStore {
+  std::map<std::string, std::vector<std::uint8_t>> kept;  // key -> bytes
+  std::set<std::string> lost_keys;
+  std::set<std::string> corrupt;  // object names, flipped or truncated
+  std::string temp_name;
+  std::string orphan_name;
+  std::string truncated_name;
+  std::size_t truncated_len = 0;
+  std::size_t objects = 0;
+};
+
+void build_damaged_store(const std::string& root, DamagedStore* d) {
+  constexpr int kObjects = 72;
+  lepton::util::Rng rng(1504);
+  std::vector<std::vector<std::uint8_t>> bytes(kObjects);
+  std::vector<std::string> md5(kObjects);
+  {
+    ls::DurableStoreConfig cfg;
+    cfg.root = root;
+    cfg.fsync = ls::FsyncMode::kNone;
+    std::string err;
+    auto s = ls::DurableStore::open(std::move(cfg), &err);
+    ASSERT_NE(s, nullptr) << err;
+    for (int i = 0; i < kObjects; ++i) {
+      bytes[i].resize(1024 + rng.below(127 << 10));
+      for (auto& b : bytes[i]) b = static_cast<std::uint8_t>(rng.next());
+      lepton::StoredObject obj =
+          s->codec().put_passthrough({bytes[i].data(), bytes[i].size()});
+      md5[i] = obj.md5_hex;
+      std::string key = "k" + std::to_string(i);
+      ASSERT_TRUE(s->put_object(key, obj).acknowledged);
+      d->kept[key] = bytes[i];
+      if (i == 5 || i == 6) {
+        ASSERT_TRUE(s->put_object("dup" + std::to_string(i), obj).acknowledged);
+        d->kept["dup" + std::to_string(i)] = bytes[i];
+      }
+    }
+  }
+  d->objects = kObjects;
+  auto path_of = [&](int i) {
+    return root + "/objects/" + md5[i].substr(0, 2) + "/" + md5[i];
+  };
+  auto lose = [&](int i) {
+    d->corrupt.insert(md5[i]);
+    for (const std::string& key :
+         {"k" + std::to_string(i), "dup" + std::to_string(i)}) {
+      if (d->kept.erase(key) != 0) d->lost_keys.insert(key);
+    }
+  };
+  for (int i : {5, 17, 40}) {
+    std::vector<std::uint8_t> b;
+    ASSERT_TRUE(lepton::util::fileio::read_file(path_of(i), &b));
+    b[b.size() / 3] ^= 0x20;
+    std::ofstream out(path_of(i), std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(b.data()),
+              static_cast<std::streamsize>(b.size()));
+    lose(i);
+  }
+  d->truncated_name = md5[23];
+  d->truncated_len = bytes[23].size() / 2;
+  ASSERT_EQ(::truncate(path_of(23).c_str(),
+                       static_cast<off_t>(d->truncated_len)),
+            0);
+  lose(23);
+  d->temp_name = ".tmp." + md5[0] + ".7.7";
+  {
+    std::ofstream torn(root + "/objects/" + md5[0].substr(0, 2) + "/" +
+                           d->temp_name,
+                       std::ios::binary);
+    torn << "partial";
+  }
+  std::vector<std::uint8_t> stray(4000);
+  for (auto& b : stray) b = static_cast<std::uint8_t>(rng.next());
+  d->orphan_name = lepton::util::Md5::hex_digest({stray.data(), stray.size()});
+  std::string orphan_dir = root + "/objects/" + d->orphan_name.substr(0, 2);
+  ASSERT_TRUE(lepton::util::fileio::make_dirs(orphan_dir));
+  std::ofstream out(orphan_dir + "/" + d->orphan_name, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(stray.data()),
+            static_cast<std::streamsize>(stray.size()));
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+std::vector<std::string> sorted_files(const std::string& dir) {
+  std::vector<std::string> v = lepton::util::fileio::list_files(dir);
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+// Recovery verifies objects on every core, largest first, but must act in
+// sweep order: the quarantine names (<name>.<seq>) and reasons.log lines
+// are those a one-thread sweep in directory-listing order writes, the
+// report counts are exact, every surviving key reads back byte-identical,
+// and an identically damaged copy recovers to the same names.
+TEST(DurableStore, ParallelVerifyRecoversDamagedStoreInSweepOrder) {
+  std::string root = fresh_root("damaged");
+  DamagedStore d;
+  ASSERT_NO_FATAL_FAILURE(build_damaged_store(root, &d));
+
+  std::vector<std::string> want_names;
+  std::string want_log;
+  std::set<std::string> fans;
+  for (const std::string& fan :
+       lepton::util::fileio::list_dirs(root + "/objects")) {
+    for (const std::string& name :
+         lepton::util::fileio::list_files(root + "/objects/" + fan)) {
+      fans.insert(fan);
+      const char* reason = nullptr;
+      if (name == d.temp_name) {
+        reason = "torn/partial commit (temp file)";
+      } else if (name == d.orphan_name) {
+        reason = "orphaned (no valid journal record)";
+      } else if (d.corrupt.count(name) != 0) {
+        reason = "payload mismatch at recovery (size or md5 vs journal)";
+      }
+      if (reason == nullptr) continue;
+      want_names.push_back(name + "." + std::to_string(want_names.size()));
+      want_log += name + " <- objects/" + fan + ": " + reason + "\n";
+    }
+  }
+  ASSERT_EQ(want_names.size(), 6u);
+  EXPECT_GE(fans.size(), 40u) << "objects not spread across the fanout";
+
+  auto s = open_store(root);
+  ASSERT_NE(s, nullptr);
+  ls::RecoveryReport rep = s->stats().recovery;
+  EXPECT_EQ(rep.temps_quarantined, 1u);
+  EXPECT_EQ(rep.orphans_quarantined, 1u);
+  EXPECT_EQ(rep.corrupt_quarantined, 4u);
+  EXPECT_EQ(rep.keys_lost, 5u);  // k5 and dup5 share one flipped object
+  EXPECT_EQ(rep.objects_live, d.objects - 4);
+  EXPECT_EQ(rep.keys_live, d.kept.size());
+  EXPECT_EQ(rep.journal_torn_tail, 0u);
+  EXPECT_EQ(rep.journal_bad_records, 0u);
+
+  EXPECT_EQ(slurp(root + "/quarantine/reasons.log"), want_log);
+  std::vector<std::string> names = want_names;
+  names.push_back("reasons.log");
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(sorted_files(root + "/quarantine"), names);
+  for (const std::string& q : want_names) {
+    if (q.rfind(d.truncated_name + ".", 0) != 0) continue;
+    std::vector<std::uint8_t> kept_bytes;  // quarantine moves, never deletes
+    ASSERT_TRUE(lepton::util::fileio::read_file(root + "/quarantine/" + q,
+                                                &kept_bytes));
+    EXPECT_EQ(kept_bytes.size(), d.truncated_len);
+  }
+
+  for (const auto& [key, bytes] : d.kept) {
+    lepton::Result r;
+    ASSERT_TRUE(s->get(key, &r)) << key;
+    ASSERT_TRUE(r.ok()) << key << ": " << r.message;
+    EXPECT_EQ(r.data, bytes) << key;
+  }
+  for (const std::string& key : d.lost_keys) {
+    lepton::Result r;
+    EXPECT_FALSE(s->get(key, &r)) << key << " served after its object failed";
+  }
+
+  std::string twin = fresh_root("damaged_twin");
+  DamagedStore d2;
+  ASSERT_NO_FATAL_FAILURE(build_damaged_store(twin, &d2));
+  auto s2 = open_store(twin);
+  ASSERT_NE(s2, nullptr);
+  EXPECT_EQ(sorted_files(twin + "/quarantine"), names);
+  EXPECT_EQ(slurp(twin + "/quarantine/reasons.log"), want_log);
+  ls::RecoveryReport rep2 = s2->stats().recovery;
+  EXPECT_EQ(rep2.corrupt_quarantined, rep.corrupt_quarantined);
+  EXPECT_EQ(rep2.keys_lost, rep.keys_lost);
+  EXPECT_EQ(rep2.keys_live, rep.keys_live);
+  if (!::testing::Test::HasFailure()) {
+    std::filesystem::remove_all(root);
+    std::filesystem::remove_all(twin);
+  }
 }
 
 }  // namespace

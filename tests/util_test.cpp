@@ -1,14 +1,21 @@
 // Unit tests for the foundation module: bit I/O (including handover resume),
-// serialization, statistics, MD5 vectors, tracked memory, the arena budget
-// discipline, and RNG determinism.
+// serialization, statistics, MD5 vectors and the loop-form oracle, tracked
+// memory, the arena budget discipline, RNG determinism, the bounded
+// parallel-for, and whole-file reads.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <thread>
 
+#include "md5_reference.h"
 #include "util/arena.h"
 #include "util/bitio.h"
 #include "util/exit_codes.h"
+#include "util/fileio.h"
 #include "util/md5.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -145,6 +152,42 @@ TEST(Md5, IncrementalMatchesOneShot) {
   EXPECT_EQ(h.final(), lu::Md5::digest({data.data(), data.size()}));
 }
 
+// The straight-line kernel against the loop-form oracle kept in
+// tests/md5_reference.h: every length 0..4096 (each padding case, each
+// block boundary) with random contents, fed one-shot and in random
+// update() chunkings that include empty and block-straddling pieces, then
+// one 8 MiB buffer.
+TEST(Md5, StraightLineKernelMatchesLoopFormOracle) {
+  using lepton::test::Md5Reference;
+  lu::Rng rng(1321);
+  auto chunked = [&rng](const std::vector<std::uint8_t>& data) {
+    lu::Md5 h;
+    std::size_t pos = 0;
+    while (pos < data.size()) {
+      std::size_t left = data.size() - pos;
+      std::size_t n = rng.chance(0.5) ? rng.below(130) : rng.below(left + 1);
+      n = std::min(n, left);
+      h.update({data.data() + pos, n});
+      pos += n;
+    }
+    return h.final();
+  };
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    std::vector<std::uint8_t> data(len);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+    auto want = Md5Reference::digest({data.data(), data.size()});
+    ASSERT_EQ(lu::Md5::digest({data.data(), data.size()}), want)
+        << "one-shot, len " << len;
+    ASSERT_EQ(chunked(data), want) << "chunked, len " << len;
+  }
+  std::vector<std::uint8_t> big(8 << 20);
+  for (auto& b : big) b = static_cast<std::uint8_t>(rng.next());
+  auto want = Md5Reference::digest({big.data(), big.size()});
+  EXPECT_EQ(lu::Md5::digest({big.data(), big.size()}), want);
+  EXPECT_EQ(chunked(big), want);
+  EXPECT_EQ(lu::Md5::hex_digest({big.data(), big.size()}), lu::Md5::hex(want));
+}
+
 TEST(TrackedMemory, GaugeSeesPeak) {
   lu::MemoryGauge g;
   {
@@ -210,11 +253,94 @@ TEST(ThreadPool, RunsAllTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
+// Every index runs exactly once, and never on more than `threads` threads
+// at a time — counted both as overlapping calls and as distinct thread ids
+// (one thread per item would show thousands of ids at n = 4096).
 TEST(ThreadPool, ParallelForSegmentsCoversRange) {
-  std::vector<std::atomic<int>> hits(16);
-  lepton::util::parallel_for_segments(16, 8,
-                                      [&](int i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  struct Case {
+    int n;
+    int threads;
+  };
+  for (Case c : {Case{16, 8}, Case{4096, 4}, Case{3, 8}, Case{64, 2},
+                 Case{5, 1}, Case{7, 0}, Case{1, 4}, Case{0, 4}}) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) +
+                 " threads=" + std::to_string(c.threads));
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(c.n));
+    std::atomic<int> active{0};
+    std::atomic<int> peak{0};
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    lu::parallel_for_segments(c.n, c.threads, [&](int i) {
+      int now = active.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        ids.insert(std::this_thread::get_id());
+      }
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+      std::this_thread::yield();  // widen the window for overlap
+      active.fetch_sub(1);
+    });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+    int cap = std::max(c.threads, 1);
+    EXPECT_LE(peak.load(), cap);
+    EXPECT_LE(static_cast<int>(ids.size()), cap);
+    if (c.n <= 1 || c.threads <= 1) {
+      // Serial: the calling thread alone, no thread started.
+      EXPECT_LE(ids.size(), 1u);
+      if (c.n > 0) {
+        EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+      }
+    }
+  }
+}
+
+// read_file sizes its buffer once from fstat; the bytes it returns must be
+// exactly the file's at every size around the 64 KiB read unit, with stale
+// contents of the output vector gone. A pipe has no size to fstat, so all
+// of its bytes take the path a file that grows under the read takes.
+TEST(FileIo, ReadFileReturnsExactlyTheBytesRead) {
+  namespace fio = lu::fileio;
+  lu::Rng rng(21);
+  std::string base = ::testing::TempDir() + "read_file_" +
+                     std::to_string(::getpid()) + "_";
+  for (std::size_t len : {0u, 1u, 65535u, 65536u, 65537u, 300001u}) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    std::vector<std::uint8_t> data(len);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+    std::string path = base + std::to_string(len);
+    ASSERT_TRUE(fio::write_file_atomic(path, {data.data(), data.size()},
+                                       /*do_fsync=*/false)
+                    .ok());
+    std::vector<std::uint8_t> back = {7, 7, 7};
+    ASSERT_TRUE(fio::read_file(path, &back));
+    EXPECT_EQ(back, data);
+    std::remove(path.c_str());
+  }
+
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::vector<std::uint8_t> sent((200 << 10) + 7);
+  for (auto& b : sent) b = static_cast<std::uint8_t>(rng.next());
+  std::thread writer([&] {
+    std::size_t off = 0;
+    while (off < sent.size()) {
+      ssize_t w = ::write(fds[1], sent.data() + off, sent.size() - off);
+      if (w <= 0) break;
+      off += static_cast<std::size_t>(w);
+    }
+    ::close(fds[1]);
+  });
+  std::vector<std::uint8_t> got;
+  bool ok = fio::read_file("/proc/self/fd/" + std::to_string(fds[0]), &got);
+  writer.join();
+  ::close(fds[0]);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(got, sent);
+
+  EXPECT_FALSE(fio::read_file(base + "missing", &got));
 }
 
 TEST(Zlib, RoundTrip) {
