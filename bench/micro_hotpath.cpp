@@ -2,11 +2,11 @@
 // performance overhauls (batched 64-bit bit reader, bool-coder adaptive and
 // literal paths, the encode-side context-plane pipeline) against in-binary
 // per-bit / per-block reference implementations, attributes the levers
-// separately (bin cluster layout, speculative multi-bit decode, SIMD
-// Huffman re-encode, AVX2 IDCT pass, fused-refill scan parse, plane
-// precompute, plane-fed model loop), and reports single-thread whole-codec
-// encode/decode throughput through one warm CodecContext on the generated
-// corpus. Appends one per-PR entry to the BENCH_hotpath.json *trajectory*
+// separately (bin cluster layout, SIMD Huffman re-encode, AVX2 IDCT pass,
+// fused-refill scan parse, plane precompute, plane-fed model loop), and
+// reports single-thread whole-codec encode/decode throughput and the corpus
+// compression ratio through one warm CodecContext on the generated corpus.
+// Appends one per-PR entry to the BENCH_hotpath.json *trajectory*
 // (an array of entries; any existing entry for the same PR is replaced) so
 // future PRs can diff against every predecessor (no google-benchmark
 // dependency: plain steady_clock with best-of-N via bench::best_of).
@@ -30,7 +30,6 @@
 #include "jpeg/scan_encoder.h"
 #include "jpeg/stuffed_bitio.h"
 #include "lepton/context.h"
-#include "lepton/format.h"
 #include "lepton/lepton.h"
 #include "model/block_codec.h"
 #include "model/context_plane.h"
@@ -147,73 +146,6 @@ BoolCoderRates bool_coder_rates() {
   return r;
 }
 
-// ---- lane ILP ceiling: interleaved independent bool-decoder chains ---------
-//
-// The format-v3 premise isolated from the codec: decode two adaptive
-// chains one after the other vs stepped alternately at symbol granularity,
-// where out-of-order overlap has the best possible shot (two disjoint
-// range-state dependency chains live in registers simultaneously).
-// Whatever this measures is the most lane interleaving can ever return;
-// the codec's coarser MCU-column stepping can only capture less.
-
-struct LaneIlpRates {
-  double serial_mbits;
-  double interleaved_mbits;
-};
-
-LaneIlpRates lane_ilp_ceiling() {
-  const int n = 1 << 21;
-  lepton::util::Rng rng(409);
-  std::vector<std::uint8_t> bits(2 * n);
-  for (auto& b : bits) b = rng.chance(0.3) ? 1 : 0;
-  std::vector<std::uint8_t> buf_a, buf_b;
-  {
-    lepton::coding::Branch ba, bb;
-    lepton::coding::BoolEncoder ea(&buf_a);
-    for (int i = 0; i < n; ++i) {
-      ea.put(bits[i] != 0, ba.prob_zero());
-      ba.record(bits[i] != 0);
-    }
-    ea.finish_into_buffer();
-    lepton::coding::BoolEncoder eb(&buf_b);
-    for (int i = 0; i < n; ++i) {
-      bool bit = bits[n + i] != 0;
-      eb.put(bit, bb.prob_zero());
-      bb.record(bit);
-    }
-    eb.finish_into_buffer();
-  }
-  LaneIlpRates r{};
-  r.serial_mbits = 2 * n / 1e6 / best_of(5, [&] {
-    int sink = 0;
-    for (const auto* buf : {&buf_a, &buf_b}) {
-      lepton::coding::Branch br;
-      lepton::coding::BoolDecoder dec({buf->data(), buf->size()});
-      for (int i = 0; i < n; ++i) {
-        bool bit = dec.get(br.prob_zero());
-        br.record(bit);
-        sink += bit;
-      }
-    }
-    keep(sink);
-  });
-  r.interleaved_mbits = 2 * n / 1e6 / best_of(5, [&] {
-    int sink = 0;
-    lepton::coding::Branch bra, brb;
-    lepton::coding::BoolDecoder da({buf_a.data(), buf_a.size()});
-    lepton::coding::BoolDecoder db({buf_b.data(), buf_b.size()});
-    for (int i = 0; i < n; ++i) {
-      bool xa = da.get(bra.prob_zero());
-      bra.record(xa);
-      bool xb = db.get(brb.prob_zero());
-      brb.record(xb);
-      sink += xa + xb;
-    }
-    keep(sink);
-  });
-  return r;
-}
-
 // ---- lever 1: bin cluster layout -------------------------------------------
 //
 // Codes the same value stream through the clustered 7x7 bins (model.h
@@ -272,66 +204,7 @@ LayoutRates layout_lever() {
   return {n / 1e6 / cs, n / 1e6 / ss};
 }
 
-// ---- lever 2: speculative multi-bit decode ---------------------------------
-//
-// Decodes one stream twice: through the speculative DecodeOps overloads
-// (prob preload + batched renormalization — what SegmentCodec uses) and
-// through the per-bit reference templates instantiated with DecodeOps.
-// Both must yield identical values; the ratio is the lever.
-
-struct SpecRates {
-  double spec_mvals;
-  double ref_mvals;
-};
-
-SpecRates speculative_lever() {
-  const int n = 1 << 19;
-  lepton::util::Rng rng(407);
-  std::vector<std::int16_t> vals(n);
-  for (auto& v : vals) v = static_cast<std::int16_t>(rng.below(64)) - 32;
-  auto bins = std::make_unique<lepton::model::ValueBins<10>[]>(64);
-  std::vector<std::uint8_t> buf;
-  {
-    lepton::coding::BoolEncoder enc(&buf);
-    lepton::coding::EncodeOps ops{&enc};
-    for (int k = 0; k < n; ++k) {
-      auto& b = bins[k & 63];
-      lepton::coding::code_value(ops, b.exp.data(), &b.sign, b.res.data(), 10,
-                                 vals[k]);
-    }
-    enc.finish_into_buffer();
-  }
-  auto reset_bins = [&] {
-    for (int k = 0; k < 64; ++k) bins[k] = lepton::model::ValueBins<10>{};
-  };
-  std::int64_t sink = 0;
-  double ss = best_of(3, [&] {
-    reset_bins();
-    lepton::coding::BoolDecoder dec({buf.data(), buf.size()});
-    lepton::coding::DecodeOps ops{&dec};
-    for (int k = 0; k < n; ++k) {
-      auto& b = bins[k & 63];
-      // Overload resolution picks the speculative non-template overload.
-      sink += lepton::coding::code_value(ops, b.exp.data(), &b.sign,
-                                         b.res.data(), 10, 0);
-    }
-  });
-  double rs = best_of(3, [&] {
-    reset_bins();
-    lepton::coding::BoolDecoder dec({buf.data(), buf.size()});
-    lepton::coding::DecodeOps ops{&dec};
-    for (int k = 0; k < n; ++k) {
-      auto& b = bins[k & 63];
-      // Explicit template instantiation: the per-bit reference.
-      sink += lepton::coding::code_value<lepton::coding::DecodeOps>(
-          ops, b.exp.data(), &b.sign, b.res.data(), 10, 0);
-    }
-  });
-  keep(sink);
-  return {n / 1e6 / ss, n / 1e6 / rs};
-}
-
-// ---- lever 3: SIMD Huffman re-encode ---------------------------------------
+// ---- lever 2: SIMD Huffman re-encode ---------------------------------------
 //
 // Re-encodes a real corpus file's scan (the decode path's per-row work)
 // with SIMD dispatch active vs pinned to the scalar fallback.
@@ -454,8 +327,8 @@ EncodePathRates encode_path_levers(
                               jfs[fi].qtables[frame.comps[c].quant_idx].q.data());
       }
       for (int my = 0; my < frame.mcus_y; ++my) {
-        lm::precompute_mcu_row(plane, jfs[fi], decs[fi].coeffs, my, my, my - 1,
-                               my > 0, et.data(), mo, kernels);
+        lm::precompute_mcu_row(plane, jfs[fi], decs[fi].coeffs, my, my > 0,
+                               et.data(), mo, kernels);
       }
     }
   });
@@ -489,7 +362,7 @@ EncodePathRates encode_path_levers(
   return r;
 }
 
-// ---- lever 4: AVX2 IDCT column pass ----------------------------------------
+// ---- lever 3: AVX2 IDCT column pass ----------------------------------------
 
 struct IdctRates {
   double simd_ns;
@@ -562,21 +435,13 @@ int main(int argc, char** argv) {
   std::printf("bool coder      : literal  enc %6.1f / dec %6.1f Mbit/s   (%.2fx enc)\n",
               bc.encode_literal_mbits, bc.decode_literal_mbits,
               bc.encode_literal_mbits / bc.encode_adaptive_mbits);
-  auto ilp = lane_ilp_ceiling();
-  std::printf("lane ILP ceiling: interleaved %6.1f / serial %6.1f Mbit/s   (%.2fx)\n",
-              ilp.interleaved_mbits, ilp.serial_mbits,
-              ilp.interleaved_mbits / ilp.serial_mbits);
 
   // ---- adaptive-model levers, attributed separately ----
   auto lay = layout_lever();
-  auto spec = speculative_lever();
   auto idct = idct_lever();
   std::printf("bin layout      : clustered %5.2f / scattered %5.2f Mvalues/s   (%.2fx)\n",
               lay.clustered_mvals, lay.scattered_mvals,
               lay.clustered_mvals / lay.scattered_mvals);
-  std::printf("spec decode     : speculative %5.2f / per-bit ref %5.2f Mvalues/s (%.2fx)\n",
-              spec.spec_mvals, spec.ref_mvals,
-              spec.spec_mvals / spec.ref_mvals);
   std::printf("idct pass 2     : %s %6.1f / scalar %6.1f ns/block   (%.2fx)\n",
               lepton::util::simd_level_name(lepton::util::detected_simd()),
               idct.simd_ns, idct.scalar_ns, idct.scalar_ns / idct.simd_ns);
@@ -597,12 +462,14 @@ int main(int argc, char** argv) {
   dopt.run_parallel = false;
 
   std::vector<std::vector<std::uint8_t>> encoded;
+  std::size_t encoded_total = 0;
   for (const auto& f : files) {
     auto e = ctx.encode({f.data(), f.size()}, eopt);
     if (!e.ok()) {
       std::fprintf(stderr, "corpus encode failed: %s\n", e.message.c_str());
       return 1;
     }
+    encoded_total += e.data.size();
     encoded.push_back(std::move(e.data));
   }
   double es = best_of(5, [&] {
@@ -622,8 +489,13 @@ int main(int argc, char** argv) {
   double combined = 2 * mb / (es + ds);
   std::printf("codec 1-thread  : encode %5.2f MB/s   decode %5.2f MB/s   combined %5.2f MB/s\n",
               enc_mbps, dec_mbps, combined);
-  std::printf("  (%zu corpus files, %.2f MB, warm CodecContext, best of 5)\n",
-              files.size(), mb);
+  // Compressed/original bytes of the single-segment containers above
+  // (recorded as corpus_ratio_v2, the key earlier entries use).
+  double corpus_ratio =
+      static_cast<double>(encoded_total) / static_cast<double>(total);
+  std::printf("  (%zu corpus files, %.2f MB, warm CodecContext, best of 5; "
+              "ratio %.4f)\n",
+              files.size(), mb, corpus_ratio);
 
   // ---- SIMD re-encode lever (uses the first corpus file's real scan) ----
   auto re = reencode_lever(files.front());
@@ -653,59 +525,6 @@ int main(int argc, char** argv) {
   std::printf("encode pipeline : plane %5.2f / reference %5.2f MB/s   (%.2fx)\n",
               enc_mbps, enc_ref_mbps, enc_mbps / enc_ref_mbps);
 
-  // ---- format v3 lane sweep: throughput and ratio per lane count ----
-  //
-  // The sweep that sets (and re-validates) kDefaultCoderLanes: each lane
-  // count's single-thread encode/decode MB/s plus its corpus compression
-  // ratio, so the throughput gain and the ratio give-back are recorded
-  // side by side. lanes=1 is a v2 container — its ratio is the
-  // corpus_ratio_v2 baseline the acceptance rule compares against.
-  struct LanePoint {
-    int lanes;
-    double enc_mbps, dec_mbps, ratio;
-  };
-  std::vector<LanePoint> sweep;
-  for (int lanes : {1, 2, 4}) {
-    lepton::EncodeOptions le = eopt;
-    le.coder_lanes = lanes;
-    std::vector<std::vector<std::uint8_t>> lenc;
-    std::size_t lbytes = 0;
-    for (const auto& f : files) {
-      auto e = ctx.encode({f.data(), f.size()}, le);
-      if (!e.ok()) std::abort();
-      lbytes += e.data.size();
-      lenc.push_back(std::move(e.data));
-    }
-    double les = best_of(5, [&] {
-      for (const auto& f : files) {
-        auto e = ctx.encode({f.data(), f.size()}, le);
-        if (!e.ok()) std::abort();
-      }
-    });
-    double lds = best_of(5, [&] {
-      for (const auto& e : lenc) {
-        auto d = ctx.decode({e.data(), e.size()}, dopt);
-        if (!d.ok()) std::abort();
-      }
-    });
-    sweep.push_back({lanes, mb / les, mb / lds,
-                     static_cast<double>(lbytes) / static_cast<double>(total)});
-    std::printf(
-        "lane sweep      : %d lane%s  encode %5.2f / decode %5.2f MB/s  "
-        "combined %5.2f  ratio %.4f\n",
-        lanes, lanes == 1 ? " " : "s", mb / les, mb / lds,
-        2 * mb / (les + lds), sweep.back().ratio);
-  }
-  // corpus_ratio_v2 is the single-lane baseline; corpus_ratio_v3 is the
-  // smallest v3 lane count (2) — the best ratio any v3 container manages,
-  // since the context split only widens with more lanes.
-  double ratio_v2 = sweep.front().ratio;
-  double ratio_v3 = sweep[1].ratio;
-  std::printf("  (default %d lane%s; v3 @ 2 lanes costs %+.2f%% ratio vs v2)\n",
-              lepton::core::kDefaultCoderLanes,
-              lepton::core::kDefaultCoderLanes == 1 ? "" : "s",
-              (ratio_v3 / ratio_v2 - 1.0) * 100.0);
-
   std::vector<std::string> entries =
       bench::read_trajectory_entries(out_path, pr, "hotpath");
   FILE* out = std::fopen(out_path.c_str(), "w");
@@ -727,15 +546,9 @@ int main(int argc, char** argv) {
                "  \"bool_literal_encode_Mbps\": %.2f,\n"
                "  \"bool_literal_decode_Mbps\": %.2f,\n"
                "  \"bool_literal_encode_speedup\": %.3f,\n"
-               "  \"lane_ilp_interleaved_Mbps\": %.2f,\n"
-               "  \"lane_ilp_serial_Mbps\": %.2f,\n"
-               "  \"lane_ilp_speedup\": %.3f,\n"
                "  \"layout_clustered_Mvals\": %.2f,\n"
                "  \"layout_scattered_Mvals\": %.2f,\n"
                "  \"layout_speedup\": %.3f,\n"
-               "  \"spec_decode_Mvals\": %.2f,\n"
-               "  \"spec_decode_ref_Mvals\": %.2f,\n"
-               "  \"spec_decode_speedup\": %.3f,\n"
                "  \"reencode_simd_MBps\": %.2f,\n"
                "  \"reencode_scalar_MBps\": %.2f,\n"
                "  \"reencode_simd_speedup\": %.3f,\n"
@@ -750,18 +563,7 @@ int main(int argc, char** argv) {
                "  \"encode_plane_MBps\": %.2f,\n"
                "  \"encode_reference_MBps\": %.2f,\n"
                "  \"encode_plane_speedup\": %.3f,\n"
-               "  \"lanes1_encode_MBps\": %.2f,\n"
-               "  \"lanes1_decode_MBps\": %.2f,\n"
-               "  \"lanes1_ratio\": %.4f,\n"
-               "  \"lanes2_encode_MBps\": %.2f,\n"
-               "  \"lanes2_decode_MBps\": %.2f,\n"
-               "  \"lanes2_ratio\": %.4f,\n"
-               "  \"lanes4_encode_MBps\": %.2f,\n"
-               "  \"lanes4_decode_MBps\": %.2f,\n"
-               "  \"lanes4_ratio\": %.4f,\n"
-               "  \"coder_lanes\": %d,\n"
                "  \"corpus_ratio_v2\": %.4f,\n"
-               "  \"corpus_ratio_v3\": %.4f,\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"simd_level\": \"%s\",\n"
                "  \"codec_encode_MBps\": %.2f,\n"
@@ -775,20 +577,13 @@ int main(int argc, char** argv) {
                bc.encode_adaptive_mbits, bc.decode_adaptive_mbits,
                bc.encode_literal_mbits, bc.decode_literal_mbits,
                bc.encode_literal_mbits / bc.encode_adaptive_mbits,
-               ilp.interleaved_mbits, ilp.serial_mbits,
-               ilp.interleaved_mbits / ilp.serial_mbits,
                lay.clustered_mvals, lay.scattered_mvals,
-               lay.clustered_mvals / lay.scattered_mvals, spec.spec_mvals,
-               spec.ref_mvals, spec.spec_mvals / spec.ref_mvals, re.simd_mbps,
+               lay.clustered_mvals / lay.scattered_mvals, re.simd_mbps,
                re.scalar_mbps, re.simd_mbps / re.scalar_mbps, idct.simd_ns,
                idct.scalar_ns, idct.scalar_ns / idct.simd_ns, ep.parse_mbps,
                ep.plane_precompute_mblocks, ep.model_plane_mvals,
                ep.model_ref_mvals, ep.model_plane_mvals / ep.model_ref_mvals,
-               enc_mbps, enc_ref_mbps, enc_mbps / enc_ref_mbps,
-               sweep[0].enc_mbps, sweep[0].dec_mbps, sweep[0].ratio,
-               sweep[1].enc_mbps, sweep[1].dec_mbps, sweep[1].ratio,
-               sweep[2].enc_mbps, sweep[2].dec_mbps, sweep[2].ratio,
-               lepton::core::kDefaultCoderLanes, ratio_v2, ratio_v3,
+               enc_mbps, enc_ref_mbps, enc_mbps / enc_ref_mbps, corpus_ratio,
                bench::hardware_concurrency(),
                lepton::util::simd_level_name(lepton::util::detected_simd()),
                enc_mbps, dec_mbps, combined, files.size(), mb);

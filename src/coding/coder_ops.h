@@ -62,12 +62,10 @@ struct DecodeOps {
 // hold at least `max_bits` branches, `res_branches` at least
 // `max_bits - 1`.
 //
-// These templates are the *reference* implementation: one ops.code_bit per
-// bit, in the canonical order. The decode side has speculative non-template
-// overloads below that resolve the same bit chains with batched
-// renormalization and next-branch probability preloads; the overloads are
-// bit-for-bit equivalent (the fuzz tests in tests/hotloop_test.cpp compare
-// them against these templates instantiated with DecodeOps).
+// This template is the only implementation, on both sides: encode and
+// decode walk the same per-bit chain. A prepared-chunk decode of the unary
+// exponent measured slower than this per-bit walk (DESIGN.md "Speculative
+// `code_value` decode"), so code_value has no decode-side overload.
 template <typename Ops>
 std::int32_t code_value(Ops& ops, Branch* exp_branches, Branch* sign_branch,
                         Branch* res_branches, int max_bits,
@@ -122,12 +120,13 @@ std::uint32_t code_tree(Ops& ops, Branch* tree_branches, int bits,
   return node - (1u << bits);
 }
 
-// ---- Speculative decode-side overloads -------------------------------------
+// ---- Speculative decode-side overload --------------------------------------
 //
-// Overload resolution picks these (non-template beats template) whenever the
-// model code instantiates with DecodeOps, so SegmentCodec's decode loop gets
-// them without any call-site changes; EncodeOps — and any explicit
-// `code_tree<DecodeOps>` reference call — still uses the templates above.
+// Overload resolution picks this one (non-template beats template) whenever
+// the model code instantiates with DecodeOps, so SegmentCodec's decode loop
+// gets it without any call-site changes; EncodeOps — and any explicit
+// `code_tree<DecodeOps>` reference call — still uses the template above,
+// which tests/hotloop_test.cpp fuzzes it against.
 //
 // Two levers, both bit-exact (identical arithmetic, identical branch-update
 // sequence — only buffering and instruction scheduling change):
@@ -168,23 +167,6 @@ inline std::uint32_t code_tree(DecodeOps& ops, Branch* tree_branches, int bits,
     }
   }
   return node - (1u << bits);
-}
-
-// Exp-Golomb decode. A prepared-chunk walk of the unary exponent (chunks
-// of 4 or 6, with or without next-bin probability preloads) was measured
-// *slower* than the plain per-bit walk on every tried tuning (ISSUE 4's
-// spec_decode_speedup 0.961 regression): one adaptive bit's refill check
-// is a single well-predicted compare, so chunking only adds loop overhead
-// here — unlike code_tree above, where the chunk walk carries the
-// both-children preload that does pay. This overload therefore delegates
-// to the per-bit reference template; it exists so the speculative-path
-// seam (and its fuzz coverage) stays in place. See DESIGN.md "what didn't
-// pay".
-inline std::int32_t code_value(DecodeOps& ops, Branch* exp_branches,
-                               Branch* sign_branch, Branch* res_branches,
-                               int max_bits, std::int32_t hint) {
-  return code_value<DecodeOps>(ops, exp_branches, sign_branch, res_branches,
-                               max_bits, hint);
 }
 
 }  // namespace lepton::coding

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <string_view>
 
-#include "coding/lane_set.h"
 #include "jpeg/parser.h"
 #include "jpeg/scan_decoder.h"
 #include "jpeg/scan_encoder.h"
@@ -24,36 +21,15 @@ namespace {
 using util::ExitCode;
 
 // Decode working-set estimate for the §6.2 ">24 MiB mem decode" gate: one
-// model copy plus two context rows per component, per coder lane (a v2
-// segment is one lane; a v3 segment declares its count in the header, so
-// `lane_units` is the container-wide lane total).
+// model copy plus two context rows per component, per segment.
 std::size_t decode_working_set(const jpegfmt::JpegFile& hdr,
-                               std::size_t lane_units) {
+                               std::size_t segments) {
   std::size_t rings = 0;
   for (const auto& comp : hdr.frame.comps) {
     rings += static_cast<std::size_t>(comp.width_blocks) * 2 *
              sizeof(model::BlockState);
   }
-  return lane_units * (sizeof(model::ProbabilityModel) + rings);
-}
-
-// Coder lanes the encoder should aim for, before the per-segment clamp to
-// the MCU-row count. LEPTON_FORMAT=v2 pins the v2 format outright (the CI
-// back-compat gate runs the whole suite under it); LEPTON_LANES supplies a
-// count when the option is 0 (defaulted).
-int requested_coder_lanes(const EncodeOptions& opts) {
-  if (const char* pin = std::getenv("LEPTON_FORMAT");
-      pin != nullptr && std::string_view(pin) == "v2") {
-    return 1;
-  }
-  int lanes = opts.coder_lanes;
-  if (lanes == 0) {
-    if (const char* env = std::getenv("LEPTON_LANES"); env != nullptr) {
-      lanes = std::atoi(env);
-    }
-  }
-  if (lanes <= 0) lanes = core::kDefaultCoderLanes;
-  return std::min(lanes, static_cast<int>(core::kMaxLanes));
+  return segments * (sizeof(model::ProbabilityModel) + rings);
 }
 
 }  // namespace
@@ -95,11 +71,6 @@ std::vector<std::uint8_t> encode_container(const jpegfmt::JpegFile& jf,
   h.suffix = plan.suffix;
   h.segments = plan.segments;
 
-  // Format selection: more than one coder lane requires the v3 container
-  // (per-segment lane tables); a single lane is exactly the v2 format.
-  const int req_lanes = requested_coder_lanes(opts);
-  h.version = req_lanes > 1 ? kFormatVersionV3 : kFormatVersion;
-
   const RunControl* rc = opts.run;
   const std::size_t nseg = plan.segments.size();
   // One scratch lease per segment, held until the container is serialized:
@@ -122,81 +93,23 @@ std::vector<std::uint8_t> encode_container(const jpegfmt::JpegFile& jf,
       }
       const auto& seg = plan.segments[static_cast<std::size_t>(i)];
       CodecScratch& scratch = *leases[static_cast<std::size_t>(i)];
-      const std::uint32_t rows = seg.end_row - seg.start_row;
-      // Per-segment clamp: a lane with no rows would emit a flush-only
-      // stream for nothing. A clamped-to-1 segment inside a v3 container
-      // is fine — the serializer writes its trivial lane table.
-      const std::size_t lanes =
-          std::max<std::size_t>(1, std::min<std::size_t>(
-                                       static_cast<std::size_t>(req_lanes),
-                                       rows));
-      if (lanes > 1) {
-        scratch.ensure_lanes(lanes);
-        std::vector<coding::BoolEncoder> encs;
-        std::vector<model::SegmentCodec<coding::EncodeOps>> codecs;
-        encs.reserve(lanes);
-        codecs.reserve(lanes);
-        coding::LaneSet<model::SegmentCodec<coding::EncodeOps>,
-                        jpegfmt::CoeffImage>
-            set;
-        for (std::size_t k = 0; k < lanes; ++k) {
-          encs.emplace_back(&scratch.lane_arith(k));
-        }
-        for (std::size_t k = 0; k < lanes; ++k) {
-          codecs.emplace_back(coding::EncodeOps{&encs[k]},
-                              scratch.lane_model(k), jf, opts.model,
-                              &scratch.lane_rings(k));
-          codecs[k].set_row_map(
-              static_cast<int>(seg.start_row) + static_cast<int>(k),
-              static_cast<int>(lanes));
-          if (opts.use_context_plane) {
-            codecs[k].attach_plane(&scratch.lane_plane(k));
-          }
-          if (tally != nullptr && nseg == 1) codecs[k].set_tally(tally);
-          set.add(&codecs[k]);
-        }
-        const int mcus_x = jf.frame.mcus_x;
-        for (std::uint32_t base = 0; base < rows;
-             base += static_cast<std::uint32_t>(lanes)) {
-          if (rc != nullptr && rc->tripped()) {
-            throw jpegfmt::ParseError(ExitCode::kTimeout,
-                                      "session deadline tripped mid-encode");
-          }
-          set.code_row_group(static_cast<int>(base / lanes),
-                             std::min<std::size_t>(lanes, rows - base),
-                             mcus_x, &dec.coeffs);
-        }
-        // Concatenate the lane streams into the segment's output buffer
-        // and record the per-lane split for the v3 lane table.
-        std::vector<std::uint8_t>& out = scratch.arith_buffer();
-        out.clear();
-        auto& lane_lens = h.segments[static_cast<std::size_t>(i)].lane_lens;
-        lane_lens.resize(lanes);
-        for (std::size_t k = 0; k < lanes; ++k) {
-          encs[k].finish_into_buffer();
-          const std::vector<std::uint8_t>& lane = scratch.lane_arith(k);
-          lane_lens[k] = static_cast<std::uint32_t>(lane.size());
-          out.insert(out.end(), lane.begin(), lane.end());
-        }
-      } else {
-        coding::BoolEncoder enc(&scratch.arith_buffer());
-        model::SegmentCodec<coding::EncodeOps> codec(coding::EncodeOps{&enc},
-                                                     scratch.fresh_model(), jf,
-                                                     opts.model,
-                                                     &scratch.rings());
-        if (opts.use_context_plane) codec.attach_plane(&scratch.plane());
-        if (tally != nullptr && nseg == 1) {
-          codec.set_tally(tally);
-        }
-        for (std::uint32_t row = seg.start_row; row < seg.end_row; ++row) {
-          if (rc != nullptr && rc->tripped()) {
-            throw jpegfmt::ParseError(ExitCode::kTimeout,
-                                      "session deadline tripped mid-encode");
-          }
-          codec.code_mcu_row(static_cast<int>(row), &dec.coeffs);
-        }
-        enc.finish_into_buffer();
+      coding::BoolEncoder enc(&scratch.arith_buffer());
+      model::SegmentCodec<coding::EncodeOps> codec(coding::EncodeOps{&enc},
+                                                   scratch.fresh_model(), jf,
+                                                   opts.model,
+                                                   &scratch.rings());
+      if (opts.use_context_plane) codec.attach_plane(&scratch.plane());
+      if (tally != nullptr && nseg == 1) {
+        codec.set_tally(tally);
       }
+      for (std::uint32_t row = seg.start_row; row < seg.end_row; ++row) {
+        if (rc != nullptr && rc->tripped()) {
+          throw jpegfmt::ParseError(ExitCode::kTimeout,
+                                    "session deadline tripped mid-encode");
+        }
+        codec.code_mcu_row(static_cast<int>(row), &dec.coeffs);
+      }
+      enc.finish_into_buffer();
       arith[static_cast<std::size_t>(i)] = {scratch.arith_buffer().data(),
                                             scratch.arith_buffer().size()};
     } catch (const jpegfmt::ParseError& e) {
@@ -224,19 +137,11 @@ jpegfmt::JpegFile validate_container_decode(const ContainerHeader& h) {
       throw jpegfmt::ParseError(ExitCode::kNotAnImage, "segment row range");
     }
   }
-  const std::size_t nseg = h.segments.size();
-  // §6.2 ">24 MiB mem decode" gate. The per-thread budget applies to the
-  // §5.4 maximum of 16 threads at most — a hostile header cannot scale the
-  // allowance (and with it the scratch it makes us allocate) by declaring
-  // thousands of segments. The working set counts every coder lane (v3
-  // segments carry one model + ring set per lane; the parser bounds the
-  // count at kMaxLanes), while the allowance still counts segments —
-  // declaring lanes buys an attacker no extra budget.
-  std::size_t lane_units = 0;
-  for (const auto& seg : h.segments) {
-    lane_units += seg.lane_lens.empty() ? 1 : seg.lane_lens.size();
-  }
-  if (lane_units == 0) lane_units = 1;
+  // §6.2 ">24 MiB mem decode" gate. The working set counts every segment,
+  // but the per-thread budget applies to the §5.4 maximum of 16 threads at
+  // most — a hostile header cannot scale the allowance (and with it the
+  // scratch it makes us allocate) by declaring more segments.
+  const std::size_t units = std::max<std::size_t>(h.segments.size(), 1);
   // Failpoint "codec.mem_gate": a fired schedule shrinks the budget to
   // zero — every allocation-gated decode then classifies kMemLimitDecode,
   // exercising the §6.2 refusal without a hostile container.
@@ -244,8 +149,8 @@ jpegfmt::JpegFile validate_container_decode(const ContainerHeader& h) {
       util::failpoint::armed() &&
       util::failpoint::hit("codec.mem_gate").fired();
   if (gate_tripped ||
-      decode_working_set(hdr, lane_units) >
-          (24ull << 20) * (nseg < 16 ? (nseg == 0 ? 1 : nseg) : 16)) {
+      decode_working_set(hdr, units) >
+          (24ull << 20) * std::min<std::size_t>(units, 16)) {
     throw jpegfmt::ParseError(ExitCode::kMemLimitDecode,
                               "decode working set exceeds budget");
   }
@@ -285,139 +190,50 @@ util::ExitCode decode_one_segment(const ContainerHeader& h,
     p.rst_count_limit = h.rst_count;
     p.final_segment = false;
     std::vector<std::uint8_t>& row_bytes = scratch.row_buffer();
-    const std::size_t lanes = seg.lane_lens.size();
-    if (lanes > 1) {
-      // Format v3: the payload is the concatenation of `lanes` independent
-      // coder streams (the parser enforced sum(lane_lens) == payload size).
-      // Lane k arithmetic-decodes source rows start_row + k, + k + lanes,
-      // ... under its own model/rings, stepping column-interleaved with
-      // the other lanes; each decoded row group is then Huffman-re-encoded
-      // in image order.
-      scratch.ensure_lanes(lanes);
-      std::vector<coding::BoolDecoder> bds;
-      std::vector<model::SegmentCodec<coding::DecodeOps>> codecs;
-      bds.reserve(lanes);
-      codecs.reserve(lanes);
-      coding::LaneSet<model::SegmentCodec<coding::DecodeOps>,
-                      jpegfmt::CoeffImage>
-          set;
-      std::size_t off = 0;
-      for (std::size_t k = 0; k < lanes; ++k) {
-        bds.emplace_back(arith.subspan(off, seg.lane_lens[k]));
-        off += seg.lane_lens[k];
-      }
-      for (std::size_t k = 0; k < lanes; ++k) {
-        codecs.emplace_back(coding::DecodeOps{&bds[k]}, scratch.lane_model(k),
-                            hdr, h.model, &scratch.lane_rings(k));
-        codecs[k].set_row_map(
-            static_cast<int>(seg.start_row) + static_cast<int>(k),
-            static_cast<int>(lanes));
-        set.add(&codecs[k]);
-      }
-      const std::uint32_t rows = seg.end_row - seg.start_row;
-      auto record = [&flags, &bds, lanes] {
-        if (flags == nullptr) return;
-        for (std::size_t k = 0; k < lanes; ++k) {
-          if (bds[k].overran()) {
-            flags->overran.store(true);
-            flags->lanes_overrun.fetch_add(1);
-          }
-          if (!bds[k].exhausted()) flags->leftover.store(true);
-          flags->payload_bytes.fetch_add(bds[k].available());
-          flags->payload_consumed.fetch_add(bds[k].consumed());
+    coding::BoolDecoder bd({arith.data(), arith.size()});
+    model::SegmentCodec<coding::DecodeOps> codec(coding::DecodeOps{&bd},
+                                                 scratch.fresh_model(), hdr,
+                                                 h.model, &scratch.rings());
+    // Direct lambda into the template entry point: the per-block ring
+    // lookup inlines into the re-encode MCU loop (an std::function there
+    // is an indirect call per block of every decode).
+    auto source = [&codec](int comp, int bx, int by) {
+      return codec.row_block(comp, bx, by);
+    };
+    auto record = [&flags, &bd] {
+      if (flags == nullptr) return;
+      if (bd.overran()) flags->overran.store(true);
+      if (!bd.exhausted()) flags->leftover.store(true);
+      flags->payload_bytes.fetch_add(bd.available());
+      flags->payload_consumed.fetch_add(bd.consumed());
+    };
+    try {
+      for (std::uint32_t row = seg.start_row;
+           row < seg.end_row && produced < seg.out_len; ++row) {
+        if (rc != nullptr && rc->tripped()) {
+          throw jpegfmt::ParseError(ExitCode::kTimeout,
+                                    "session deadline tripped mid-decode");
         }
-      };
-      try {
-        for (std::uint32_t base = 0; base < rows && produced < seg.out_len;
-             base += static_cast<std::uint32_t>(lanes)) {
-          if (rc != nullptr && rc->tripped()) {
-            throw jpegfmt::ParseError(ExitCode::kTimeout,
-                                      "session deadline tripped mid-decode");
-          }
-          const int group_local = static_cast<int>(base / lanes);
-          const std::size_t group = std::min<std::size_t>(lanes, rows - base);
-          set.code_row_group(group_local, group, hdr.frame.mcus_x, nullptr);
-          for (std::size_t g = 0; g < group && produced < seg.out_len; ++g) {
-            const int row =
-                static_cast<int>(seg.start_row + base) + static_cast<int>(g);
-            model::SegmentCodec<coding::DecodeOps>& codec = codecs[g];
-            // The re-encoder asks for real block rows of MCU row `row`;
-            // translate to the lane's local ring rows (local group_local):
-            // by_local = by - (row - group_local) * v_samp per component.
-            const int shift = row - group_local;
-            auto source = [&codec, shift, &hdr](int comp, int bx, int by) {
-              const auto& fr = hdr.frame;
-              const int v = fr.ncomp() == 1 ? 1 : fr.comps[comp].v_samp;
-              return codec.row_block(comp, bx, by - shift * v);
-            };
-            p.start_mcu_row = row;
-            p.end_mcu_row = row + 1;
-            p.handover = ho;
-            jpegfmt::encode_scan_rows_with(hdr, source, p, &ho, &row_bytes);
-            std::size_t take = row_bytes.size();
-            if (produced + take > seg.out_len) {
-              take = static_cast<std::size_t>(seg.out_len - produced);
-            }
-            em.submit(i, {row_bytes.data(), take});
-            produced += take;
-          }
+        codec.code_mcu_row(static_cast<int>(row), nullptr);
+        p.start_mcu_row = static_cast<int>(row);
+        p.end_mcu_row = static_cast<int>(row) + 1;
+        p.handover = ho;
+        jpegfmt::encode_scan_rows_with(hdr, source, p, &ho, &row_bytes);
+        std::size_t take = row_bytes.size();
+        if (produced + take > seg.out_len) {
+          take = static_cast<std::size_t>(seg.out_len - produced);
         }
-      } catch (...) {
-        // Re-encoding garbage rows (truncated/hostile lane streams) can
-        // throw mid-loop; the consumption facts must still reach the
-        // validation layers, which use them to classify the truncation.
-        record();
-        throw;
+        em.submit(i, {row_bytes.data(), take});
+        produced += take;
       }
+    } catch (...) {
+      // Re-encoding garbage rows (truncated/hostile streams) can throw
+      // mid-loop; the consumption facts must still reach the validation
+      // layers, which use them to classify the truncation.
       record();
-    } else {
-      coding::BoolDecoder bd({arith.data(), arith.size()});
-      model::SegmentCodec<coding::DecodeOps> codec(coding::DecodeOps{&bd},
-                                                   scratch.fresh_model(), hdr,
-                                                   h.model, &scratch.rings());
-      // Direct lambda into the template entry point: the per-block ring
-      // lookup inlines into the re-encode MCU loop (an std::function there
-      // is an indirect call per block of every decode).
-      auto source = [&codec](int comp, int bx, int by) {
-        return codec.row_block(comp, bx, by);
-      };
-      auto record = [&flags, &bd] {
-        if (flags == nullptr) return;
-        if (bd.overran()) {
-          flags->overran.store(true);
-          flags->lanes_overrun.fetch_add(1);
-        }
-        if (!bd.exhausted()) flags->leftover.store(true);
-        flags->payload_bytes.fetch_add(bd.available());
-        flags->payload_consumed.fetch_add(bd.consumed());
-      };
-      try {
-        for (std::uint32_t row = seg.start_row;
-             row < seg.end_row && produced < seg.out_len; ++row) {
-          if (rc != nullptr && rc->tripped()) {
-            throw jpegfmt::ParseError(ExitCode::kTimeout,
-                                      "session deadline tripped mid-decode");
-          }
-          codec.code_mcu_row(static_cast<int>(row), nullptr);
-          p.start_mcu_row = static_cast<int>(row);
-          p.end_mcu_row = static_cast<int>(row) + 1;
-          p.handover = ho;
-          jpegfmt::encode_scan_rows_with(hdr, source, p, &ho, &row_bytes);
-          std::size_t take = row_bytes.size();
-          if (produced + take > seg.out_len) {
-            take = static_cast<std::size_t>(seg.out_len - produced);
-          }
-          em.submit(i, {row_bytes.data(), take});
-          produced += take;
-        }
-      } catch (...) {
-        // Same contract as the multi-lane path: consumption facts survive
-        // a mid-loop re-encode failure.
-        record();
-        throw;
-      }
-      record();
+      throw;
     }
+    record();
     if (produced != seg.out_len) {
       throw jpegfmt::ParseError(ExitCode::kNotAnImage,
                                 "segment produced wrong byte count");

@@ -56,14 +56,6 @@ struct EncodeOptions {
   // loop). Byte-streams are identical either way; false runs the per-block
   // reference path (fuzz baseline, perf attribution).
   bool use_context_plane = true;
-  // Interleaved coder lanes per segment (format v3). 0 = the measured
-  // default (core::kDefaultCoderLanes); 1 = single lane, which is exactly
-  // the v2 format; 2..kMaxLanes = v3 with that many lanes. Per segment the
-  // effective count is clamped to the segment's MCU-row count. Environment
-  // pins (read per encode): LEPTON_FORMAT=v2 forces v2 regardless of this
-  // field (the CI back-compat gate), LEPTON_LANES=<n> supplies the count
-  // when this field is 0.
-  int coder_lanes = 0;
   model::ModelOptions model;
 };
 
@@ -88,11 +80,6 @@ struct DecodeStats {
   // consumed. Equal on a well-formed container.
   std::uint64_t payload_bytes = 0;
   std::uint64_t payload_consumed = 0;
-  // Number of coder lanes (across all segments; a v2 segment is one lane)
-  // whose BoolDecoder overran its slice of the payload. payload_overrun is
-  // the OR of this; the count tells validation *which kind* of truncation
-  // a v3 container suffered (one short lane vs a truncated tail).
-  std::uint32_t lanes_overrun = 0;
 };
 
 // Streaming output consumer. append() calls arrive in byte order.

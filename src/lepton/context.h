@@ -31,69 +31,41 @@ namespace lepton {
 
 // One worker's reusable working set. Not thread-safe; a scratch block is
 // leased to exactly one segment job at a time.
-//
-// Every model-sized resource comes in per-lane families (format v3's
-// interleaved coder lanes each need their own model, context rings, plane,
-// and output buffer); a v2/single-lane segment is simply lane 0. The
-// families grow once to the largest lane count seen and are reused — the
-// no-allocation-after-warm-up property is per lane count.
 class CodecScratch {
  public:
-  CodecScratch() : model_(1), used_(1, 0), rings_(1), planes_(1) {}
+  CodecScratch() : model_(1) {}
 
-  // Grows every per-lane family to `n` lanes. Call before taking any lane
-  // reference: growth can move the underlying storage.
-  void ensure_lanes(std::size_t n) {
-    if (model_.size() < n) {
-      model_.resize(n);
-      used_.resize(n, 0);
-      rings_.resize(n);
-      planes_.resize(n);
-    }
-    if (lane_arith_.size() < n) lane_arith_.resize(n);
+  // The probability model, returned at the 50-50 prior. The first call
+  // after construction skips the reset (construction already zeroed it).
+  model::ProbabilityModel& fresh_model() {
+    if (used_) model_[0].reset();
+    used_ = true;
+    return model_[0];
   }
-
-  // Lane `k`'s probability model, returned at the 50-50 prior. The first
-  // hand-out after construction skips the reset (construction zeroed it).
-  model::ProbabilityModel& lane_model(std::size_t k) {
-    if (used_[k] != 0) model_[k].reset();
-    used_[k] = 1;
-    return model_[k];
-  }
-  model::ProbabilityModel& fresh_model() { return lane_model(0); }
 
   // Per-segment arithmetic output (encode) — cleared by BoolEncoder, grows
-  // once to the largest segment seen. Multi-lane encodes concatenate their
-  // lane streams into this buffer for serialization.
+  // once to the largest segment seen.
   std::vector<std::uint8_t>& arith_buffer() { return arith_buf_; }
-
-  // Lane `k`'s own arithmetic output (multi-lane encode).
-  std::vector<std::uint8_t>& lane_arith(std::size_t k) {
-    return lane_arith_[k];
-  }
 
   // Per-row Huffman re-encode output (decode).
   std::vector<std::uint8_t>& row_buffer() { return row_buf_; }
 
-  // Context-row rings for SegmentCodec, per lane.
-  model::SegmentRings& lane_rings(std::size_t k) { return rings_[k]; }
-  model::SegmentRings& rings() { return rings_[0]; }
+  // Context-row rings for SegmentCodec.
+  model::SegmentRings& rings() { return rings_; }
 
   // Encode-side context-plane scratch (rolling magnitude/pixel rows plus
   // the per-MCU-row bucket plane), re-shaped per segment, grown once.
-  model::ContextPlane& lane_plane(std::size_t k) { return planes_[k]; }
-  model::ContextPlane& plane() { return planes_[0]; }
+  model::ContextPlane& plane() { return plane_; }
 
  private:
-  // Allocated through the tracker: the per-worker (now per-lane) model
-  // copies are what the Figure 3 memory accounting counts (§4.2).
+  // Allocated through the tracker: the per-worker model copy is what the
+  // Figure 3 memory accounting counts (§4.2).
   util::tracked_vector<model::ProbabilityModel> model_;
-  std::vector<std::uint8_t> used_;  // lane model handed out since ctor?
+  bool used_ = false;
   std::vector<std::uint8_t> arith_buf_;
-  std::vector<std::vector<std::uint8_t>> lane_arith_;
   std::vector<std::uint8_t> row_buf_;
-  std::vector<model::SegmentRings> rings_;
-  std::vector<model::ContextPlane> planes_;
+  model::SegmentRings rings_;
+  model::ContextPlane plane_;
 };
 
 class CodecContext {

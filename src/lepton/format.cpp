@@ -76,7 +76,6 @@ std::vector<std::uint8_t> serialize_container(
   p.u64(h.prefix_len);
   p.blob({h.suffix.data(), h.suffix.size()});
   p.u32(static_cast<std::uint32_t>(h.segments.size()));
-  const bool v3 = h.version == kFormatVersionV3;
   for (std::size_t i = 0; i < h.segments.size(); ++i) {
     const auto& seg = h.segments[i];
     p.u32(seg.start_row);
@@ -85,17 +84,6 @@ std::vector<std::uint8_t> serialize_container(
     p.u64(seg.out_len);
     p.blob({seg.prepend.data(), seg.prepend.size()});
     p.u32(static_cast<std::uint32_t>(arith[i].size()));
-    if (v3) {
-      // Lane table: the payload is the lanes' streams concatenated in
-      // order; an absent table (v2) means one implicit lane.
-      p.u8(static_cast<std::uint8_t>(
-          seg.lane_lens.empty() ? 1 : seg.lane_lens.size()));
-      if (seg.lane_lens.empty()) {
-        p.u32(static_cast<std::uint32_t>(arith[i].size()));
-      } else {
-        for (std::uint32_t len : seg.lane_lens) p.u32(len);
-      }
-    }
   }
   auto zpayload = util::zlib_compress({p.data().data(), p.size()}, 6);
 
@@ -103,7 +91,7 @@ std::vector<std::uint8_t> serialize_container(
   util::Serializer s;
   s.u8(kMagic0);
   s.u8(kMagic1);
-  s.u8(v3 ? kFormatVersionV3 : kFormatVersion);
+  s.u8(kFormatVersion);
   s.u8(h.is_chunk ? 1 : 0);
   s.u32(static_cast<std::uint32_t>(h.segments.size()));
   for (int i = 0; i < 12; ++i) s.u8(0);  // truncated git revision (§A.1)
@@ -167,7 +155,6 @@ void ContainerParser::on_header_blob_complete() {
 
   util::Deserializer q({payload.data(), payload.size()});
   auto& h = header_;
-  h.version = version_outer_;
   h.is_chunk = q.u8() != 0;
   h.file_total_size = q.u64();
   h.chunk_off = q.u64();
@@ -194,7 +181,6 @@ void ContainerParser::on_header_blob_complete() {
     return;
   }
   arith_len_.resize(n_segments);
-  const bool v3 = version_outer_ == kFormatVersionV3;
   for (std::uint32_t i = 0; i < n_segments; ++i) {
     SegmentHeader seg;
     seg.start_row = q.u32();
@@ -203,26 +189,6 @@ void ContainerParser::on_header_blob_complete() {
     seg.out_len = q.u64();
     seg.prepend = q.blob();
     arith_len_[i] = q.u32();
-    if (v3) {
-      // Lane table: bounded count, and the lane streams must tile the
-      // segment's declared payload exactly — a hostile table cannot point
-      // lanes past the bytes that will actually arrive.
-      std::uint32_t lanes = q.u8();
-      if (lanes == 0 || lanes > kMaxLanes) {
-        fail(ExitCode::kNotAnImage, "corrupt lane table");
-        return;
-      }
-      std::uint64_t lane_sum = 0;
-      seg.lane_lens.resize(lanes);
-      for (std::uint32_t k = 0; k < lanes; ++k) {
-        seg.lane_lens[k] = q.u32();
-        lane_sum += seg.lane_lens[k];
-      }
-      if (!q.ok() || lane_sum != arith_len_[i]) {
-        fail(ExitCode::kNotAnImage, "corrupt lane table");
-        return;
-      }
-    }
     if (!q.ok() || seg.end_row < seg.start_row) {
       fail(ExitCode::kNotAnImage, "corrupt segment header");
       return;
@@ -231,8 +197,8 @@ void ContainerParser::on_header_blob_complete() {
   }
   arith_.resize(n_segments);
   // Eager reservation is an optimization, not a promise: the declared
-  // lengths are attacker-controlled (4096 segments x 4 GiB each would be
-  // ~16 TiB), so cap the total reserved up front. Real containers fit the
+  // lengths are attacker-controlled (kMaxSegments x 4 GiB each would be
+  // 1 TiB), so cap the total reserved up front. Real containers fit the
   // budget comfortably; anything larger grows with the bytes that are
   // actually fed — which the section-overflow check bounds per segment.
   std::size_t reserve_budget = 8u << 20;
@@ -269,16 +235,15 @@ util::ExitCode ContainerParser::feed(std::span<const std::uint8_t> in) {
           rc = fail(ExitCode::kNotAnImage, "bad magic");
         } else if (pending_.size() >= 2 && pending_[1] != kMagic1) {
           rc = fail(ExitCode::kNotAnImage, "bad magic");
-        } else if (pending_.size() >= 3 && pending_[2] != kFormatVersion &&
-                   pending_[2] != kFormatVersionV3) {
-          // §6.7: any version this build does not speak — including the
-          // pre-overhaul version 1 — fails loudly, never decodes garbage.
+        } else if (pending_.size() >= 3 && pending_[2] != kFormatVersion) {
+          // §6.7: any version this build does not speak — the pre-overhaul
+          // version 1 and the retired multi-lane version 3 included — fails
+          // loudly, never decodes garbage.
           rc = fail(ExitCode::kUnsupportedJpeg,
                     "unsupported container version");
         } else if (pending_.size() < kOuterFixedBytes) {
           more = false;  // need more input
         } else {
-          version_outer_ = pending_[2];
           n_segments_outer_ = le32_at(pending_, 4);
           blob_len_ = le32_at(pending_, 24);
           if (n_segments_outer_ > kMaxSegments) {

@@ -6,15 +6,21 @@
 //   zlib blob (u32 len + deflate data)     — header payload, see below |
 //   interleaved arithmetic sections        — [seg u8][len u32][bytes]...
 //
-// The zlib blob carries the original JPEG header bytes (every chunk embeds
-// them so any chunk decodes in isolation, §3.4), the verbatim prefix/suffix
-// byte ranges, and one record per thread segment: its MCU-row range, its
-// Huffman handover word (§3.4), the byte count it must produce, and any
-// verbatim prepend data (§A.1 "arbitrary data to prepend to the output").
+// There is one version, kFormatVersion; the parser rejects every other
+// version byte as kUnsupportedJpeg within the container's first three bytes
+// (§6.7). The zlib blob carries the original JPEG header bytes (every chunk
+// embeds them so any chunk decodes in isolation, §3.4), the verbatim
+// prefix/suffix byte ranges, and one record per thread segment: its MCU-row
+// range, its Huffman handover word (§3.4), the byte count it must produce,
+// its arithmetic payload length, and any verbatim prepend data (§A.1
+// "arbitrary data to prepend to the output"). Each segment's payload is one
+// bool-coder stream over its rows.
 //
 // Arithmetic data is interleaved across segments in escalating sections of
 // 256 / 4096 / 65536 bytes (§A.1) so a streaming decoder can start all
-// threads before the container fully arrives.
+// threads before the container fully arrives. A section header names its
+// segment in one byte, which is what bounds the segment count
+// (kMaxSegments).
 #pragma once
 
 #include <array>
@@ -34,37 +40,13 @@ inline constexpr std::uint8_t kMagic1 = 0x84;
 // bucket rounding changed), so version-1 containers must be rejected
 // loudly (§6.7's "incompatible old version" rule), not mis-decoded.
 inline constexpr std::uint8_t kFormatVersion = 2;
-// Version 3: multi-lane interleaved entropy coding. Each segment's
-// arithmetic payload is the concatenation of N independent bool-coder lane
-// streams (round-robin over the segment's MCU rows), with per-lane lengths
-// in the segment header; everything else — outer layout, section
-// interleave, handover words — is unchanged from v2. A v2 container is
-// exactly a v3 container with one implicit lane, and v2 inputs keep
-// decoding byte-identically. Any other version byte still fails loudly.
-inline constexpr std::uint8_t kFormatVersionV3 = 3;
-
-// Hard ceiling on coder lanes per segment: enough to cover any plausible
-// ILP win (the sweep tops out well below this), small enough that a
-// hostile lane table cannot scale per-segment scratch meaningfully.
-inline constexpr std::uint32_t kMaxLanes = 8;
-// Encode-side default lane count (EncodeOptions::coder_lanes == 0).
-// Set by the PR 6 lane sweep on the committed corpus, which came back
-// negative: interleaved lanes measured *slower* than the single chain
-// (2 lanes: 0.96x combined) and cost +6.7% ratio from context-split
-// adaptation, so the default stays the v2 single-lane format and v3 is
-// opt-in (EncodeOptions::coder_lanes / LEPTON_LANES). The sweep and the
-// why live in DESIGN.md "Format v3"; re-run bench/run_bench.sh before
-// revisiting this constant.
-inline constexpr int kDefaultCoderLanes = 1;
-
 // Hard ceiling on thread segments per container, shared by the encode
 // planner (clamps the requested count) and the container parser (rejects
-// hostile headers with kNotAnImage). The decode OrderedEmitter tracks
-// completion with one flag per segment, so any count the format admits is
-// safe — this bound exists to keep hostile headers from requesting
-// unbounded per-segment state, not because of a completion-tracking word
-// width.
-inline constexpr std::uint32_t kMaxSegments = 4096;
+// larger headers with kNotAnImage). It is the count the format can address:
+// a section header names its segment in one byte. The decode
+// OrderedEmitter tracks completion with one flag per segment, so every
+// count up to this bound is safe.
+inline constexpr std::uint32_t kMaxSegments = 256;
 
 struct SegmentHeader {
   std::uint32_t start_row = 0;
@@ -72,18 +54,9 @@ struct SegmentHeader {
   jpegfmt::HuffmanHandover handover;       // writer state at start_row
   std::uint64_t out_len = 0;               // bytes this segment contributes
   std::vector<std::uint8_t> prepend;       // verbatim bytes before its output
-  // Format v3 only: byte length of each interleaved coder lane's stream,
-  // concatenated in lane order inside this segment's arithmetic payload.
-  // Lane k codes MCU rows start_row + k, start_row + k + N, ... Empty on
-  // v2 (one implicit lane spanning the whole payload). The parser enforces
-  // 1 <= lanes <= kMaxLanes and sum(lane_lens) == payload length.
-  std::vector<std::uint32_t> lane_lens;
 };
 
 struct ContainerHeader {
-  // Outer version byte: kFormatVersion (v2) or kFormatVersionV3. The
-  // serializer writes it; the parser records what it accepted.
-  std::uint8_t version = kFormatVersion;
   bool is_chunk = false;          // substring of a larger file
   std::uint64_t file_total_size = 0;
   std::uint64_t chunk_off = 0;    // byte range of the original file this
@@ -192,7 +165,6 @@ class ContainerParser {
   std::vector<std::uint8_t> blob_;     // zlib header payload
   std::size_t blob_len_ = 0;
   std::uint32_t n_segments_outer_ = 0;
-  std::uint8_t version_outer_ = 0;
 
   bool header_ready_ = false;
   ContainerHeader header_;

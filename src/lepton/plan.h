@@ -119,9 +119,6 @@ struct DecodeRunFlags {
   std::atomic<bool> leftover{false};
   std::atomic<std::uint64_t> payload_bytes{0};
   std::atomic<std::uint64_t> payload_consumed{0};
-  // Count of coder lanes (v2 segment = one lane) that overran their
-  // payload slice.
-  std::atomic<std::uint32_t> lanes_overrun{0};
 
   void fill(DecodeStats* stats) const {
     if (stats == nullptr) return;
@@ -129,7 +126,6 @@ struct DecodeRunFlags {
     stats->payload_exhausted = !overran.load() && !leftover.load();
     stats->payload_bytes = payload_bytes.load();
     stats->payload_consumed = payload_consumed.load();
-    stats->lanes_overrun = lanes_overrun.load();
   }
 };
 

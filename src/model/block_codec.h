@@ -121,90 +121,32 @@ class SegmentCodec {
     if (plane_ != nullptr) plane_->reshape(jf_.frame);
   }
 
-  // Maps this codec's local row indices onto source MCU rows: local row r
-  // codes source row `origin + r * stride`. All context state — rings,
-  // plane, "above" validity, the v_samp=2 ring quirk — is indexed by the
-  // local row, so under a multi-lane map a lane's previous row (a stride
-  // away in the image) is its context "above" row, exactly like a
-  // narrower image. The identity map (0, 1) is the v2 single-lane
-  // behaviour. The map is format-bearing on v3 streams: encoder and
-  // decoder must agree on it per lane.
-  void set_row_map(int origin, int stride) {
-    row_origin_ = origin;
-    row_stride_ = stride;
-  }
-
-  // Codes one MCU row (local index `my`; source row per the row map). On
-  // encode, `source` supplies ground-truth blocks; on decode pass nullptr.
-  // Decoded coefficients land in the ring and can be read back with
-  // row_block() (local row index) until the next call for that parity.
+  // Codes one MCU row. On encode, `source` supplies ground-truth blocks; on
+  // decode pass nullptr. Decoded coefficients land in the ring and can be
+  // read back with row_block() until the next call for that parity.
   void code_mcu_row(int my, const jpegfmt::CoeffImage* source) {
-    begin_row(my, source);
-    for (int mx = 0; mx < jf_.frame.mcus_x; ++mx) code_row_mcu(mx);
-    end_row();
-  }
-
-  // Stepping form of code_mcu_row, for the multi-lane driver: begin_row
-  // latches the row (and on encode runs the context-plane precompute),
-  // code_row_mcu codes one MCU column, end_row finishes row bookkeeping.
-  // A LaneSet interleaves code_row_mcu across lanes column by column so
-  // the CPU sees N independent coder chains in one instruction stream.
-  void begin_row(int my, const jpegfmt::CoeffImage* source) {
-    cur_my_ = my;
-    cur_my_src_ = row_origin_ + my * row_stride_;
-    cur_source_ = source;
     if constexpr (Ops::kEncoding) {
-      cur_plane_row_ = plane_ != nullptr && source != nullptr;
-      if (cur_plane_row_) {
-        precompute_mcu_row(*plane_, jf_, *source, my, cur_my_src_,
-                           cur_my_src_ - row_stride_, plane_row_coded_,
-                           edge_tables_.data(), opts_,
-                           jpegfmt::simd::context_kernels());
-      }
-    }
-  }
-
-  void code_row_mcu(int mx) {
-    if constexpr (Ops::kEncoding) {
-      if (cur_plane_row_) {
-        code_row_mcu_plane(mx);
+      if (plane_ != nullptr && source != nullptr) {
+        code_mcu_row_plane(my, *source);
+        plane_row_coded_ = true;
         return;
       }
     }
     const auto& fr = jf_.frame;
-    for (int ci = 0; ci < fr.ncomp(); ++ci) {
-      const auto& comp = fr.comps[ci];
-      for (int sy = 0; sy < comp.v_samp; ++sy) {
-        for (int sx = 0; sx < comp.h_samp; ++sx) {
-          int bx = fr.ncomp() == 1 ? mx : mx * comp.h_samp + sx;
-          int by = fr.ncomp() == 1 ? cur_my_ : cur_my_ * comp.v_samp + sy;
-          int by_src =
-              fr.ncomp() == 1 ? cur_my_src_ : cur_my_src_ * comp.v_samp + sy;
-          code_block(ci, bx, by,
-                     cur_source_ != nullptr
-                         ? cur_source_->comps[ci].block(bx, by_src)
-                         : nullptr);
+    for (int mx = 0; mx < fr.mcus_x; ++mx) {
+      for (int ci = 0; ci < fr.ncomp(); ++ci) {
+        const auto& comp = fr.comps[ci];
+        for (int sy = 0; sy < comp.v_samp; ++sy) {
+          for (int sx = 0; sx < comp.h_samp; ++sx) {
+            int bx = fr.ncomp() == 1 ? mx : mx * comp.h_samp + sx;
+            int by = fr.ncomp() == 1 ? my : my * comp.v_samp + sy;
+            code_block(ci, bx, by,
+                       source != nullptr ? source->comps[ci].block(bx, by)
+                                         : nullptr);
+          }
         }
       }
     }
-  }
-
-  void end_row() {
-    if constexpr (Ops::kEncoding) {
-      if (cur_plane_row_) plane_row_coded_ = true;
-    }
-  }
-
-  // Marks the start of a segment: the next row has no "above" context, as
-  // if it were the top of the image (this independence is what costs a
-  // little compression per extra thread, §3.4).
-  void reset_above_context() {
-    for (auto& ring : rings_->comps) {
-      for (auto& row : ring) {
-        for (auto& bs : row) bs.valid = false;
-      }
-    }
-    plane_row_coded_ = false;
   }
 
   // Read back a decoded block from the ring (valid for the two most recent
@@ -419,25 +361,28 @@ class SegmentCodec {
   // plane field replicates the reference derivation on the same inputs
   // (encode ring state equals truth), which the fuzz tests pin down.
 
-  // One MCU column of the coder loop, exact MCU interleaving order (chroma
-  // components share adaptive state, so the order is part of the format).
-  // The row's context was resolved by precompute_mcu_row in begin_row; this
-  // only feeds the BoolEncoder.
-  void code_row_mcu_plane(int mx) {
+  void code_mcu_row_plane(int my, const jpegfmt::CoeffImage& source) {
     const auto& fr = jf_.frame;
-    for (int ci = 0; ci < fr.ncomp(); ++ci) {
-      const auto& comp = fr.comps[ci];
-      ComponentPlane& cp = plane_->comps[static_cast<std::size_t>(ci)];
-      const auto& cc = cur_source_->comps[static_cast<std::size_t>(ci)];
-      for (int sy = 0; sy < comp.v_samp; ++sy) {
-        for (int sx = 0; sx < comp.h_samp; ++sx) {
-          int bx = fr.ncomp() == 1 ? mx : mx * comp.h_samp + sx;
-          int by_src =
-              fr.ncomp() == 1 ? cur_my_src_ : cur_my_src_ * comp.v_samp + sy;
-          std::size_t slot = static_cast<std::size_t>(sy) * cc.width_blocks +
-                             static_cast<std::size_t>(bx);
-          code_block_plane(ci, cp.ctx[slot], cp.mag.data() + slot * 64,
-                           cc.block(bx, by_src));
+    const jpegfmt::simd::ContextKernels kernels =
+        jpegfmt::simd::context_kernels();
+    precompute_mcu_row(*plane_, jf_, source, my, plane_row_coded_,
+                       edge_tables_.data(), opts_, kernels);
+    // Serial coder loop, exact MCU interleaving order (chroma components
+    // share adaptive state, so the order is part of the format).
+    for (int mx = 0; mx < fr.mcus_x; ++mx) {
+      for (int ci = 0; ci < fr.ncomp(); ++ci) {
+        const auto& comp = fr.comps[ci];
+        ComponentPlane& cp = plane_->comps[static_cast<std::size_t>(ci)];
+        const auto& cc = source.comps[static_cast<std::size_t>(ci)];
+        for (int sy = 0; sy < comp.v_samp; ++sy) {
+          for (int sx = 0; sx < comp.h_samp; ++sx) {
+            int bx = fr.ncomp() == 1 ? mx : mx * comp.h_samp + sx;
+            int by = fr.ncomp() == 1 ? my : my * comp.v_samp + sy;
+            std::size_t slot = static_cast<std::size_t>(sy) * cc.width_blocks +
+                               static_cast<std::size_t>(bx);
+            code_block_plane(ci, cp.ctx[slot], cp.mag.data() + slot * 64,
+                             cc.block(bx, by));
+          }
         }
       }
     }
@@ -513,20 +458,10 @@ class SegmentCodec {
   SegmentRings own_rings_;
   SegmentRings* rings_;
   // Encode-side context plane (null = reference per-block path) and
-  // whether any MCU row was coded since construction/reset (the first
-  // row's blocks have no "above" context).
+  // whether any MCU row was coded since construction (the first row's
+  // blocks have no "above" context).
   ContextPlane* plane_ = nullptr;
   bool plane_row_coded_ = false;
-  // Lane row map (set_row_map): local row r codes source MCU row
-  // row_origin_ + r * row_stride_. Identity for v2 single-lane segments.
-  int row_origin_ = 0;
-  int row_stride_ = 1;
-  // Row latched by begin_row: local index, mapped source row, truth
-  // source, and whether this row runs the plane path.
-  int cur_my_ = 0;
-  int cur_my_src_ = 0;
-  const jpegfmt::CoeffImage* cur_source_ = nullptr;
-  bool cur_plane_row_ = false;
 };
 
 }  // namespace lepton::model

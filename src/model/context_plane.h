@@ -204,52 +204,43 @@ alignas(32) inline constexpr std::uint16_t kZeroAbs[64] = {};
 // (a cold out-of-line copy measured ~50% slower purely from code
 // placement on the dev box).
 
-// Stage A: fills cp.abs[by_ctx % 3] and the `nzm_row` masks (one uint64
-// per block, natural-order bit per nonzero coefficient) from source block
-// row `by_src`. `by_ctx` is the context-plane row index — identical to
-// `by_src` for a contiguous segment, the lane-local row index when the
-// codec runs as one of N interleaved lanes (block_codec.h set_row_map).
+// Stage A for block row `by`: fills cp.abs[by % 3] and the `nzm_row`
+// masks (one uint64 per block, natural-order bit per nonzero coefficient).
 inline void plane_abs_row(ComponentPlane& cp, std::uint64_t* nzm_row,
-                          const jpegfmt::ComponentCoeffs& cc, int by_ctx,
-                          int by_src,
+                          const jpegfmt::ComponentCoeffs& cc, int by,
                           const jpegfmt::simd::ContextKernels& kernels) {
-  kernels.abs_nz_row(cc.block(0, by_src), cc.width_blocks,
-                     cp.abs[static_cast<std::size_t>(by_ctx % 3)].data(),
-                     nzm_row);
+  kernels.abs_nz_row(cc.block(0, by), cc.width_blocks,
+                     cp.abs[static_cast<std::size_t>(by % 3)].data(), nzm_row);
 }
 
-// Stage B for context row `by_ctx` (source block row `by_src`; the two
-// differ only under the multi-lane row map, where `by_ctx` counts the
-// lane's own rows consecutively). Requires stage A for `by_ctx`, for
-// `by_ctx - 1` when `above_valid`, and for `by_ctx + 1` when the quirk
-// rows apply (v_samp == 2, even `by_ctx` > 0). `above_valid` says whether
-// the context row above was coded in this segment/lane (starts behave like
-// the top of the image); `by_above_src` is that row's source block row
-// (`by_src - 1` contiguously, the lane's previous row otherwise). Writes
-// `out_row`/`mag_row` and the row's rolling state.
+// Stage B for block row `by`. Requires stage A for row `by`, for row
+// `by - 1` when `above_valid`, and for row `by + 1` when the quirk rows
+// apply (v_samp == 2, even `by` > 0). `above_valid` says whether block row
+// `by - 1` was coded in this segment (segment starts behave like the top
+// of the image). Writes `out_row`/`mag_row` and the row's rolling state.
 inline void plane_context_row(ComponentPlane& cp, BlockCtx* out_row,
                               std::uint8_t* mag_row,
                               const std::uint64_t* nzm_row,
-                              const jpegfmt::ComponentCoeffs& cc, int by_ctx,
-                              int by_src, int by_above_src, bool above_valid,
-                              int h_samp, int v_samp, const EdgeTables& et,
-                              const std::uint16_t* q, const ModelOptions& opts,
+                              const jpegfmt::ComponentCoeffs& cc, int by,
+                              bool above_valid, int h_samp, int v_samp,
+                              const EdgeTables& et, const std::uint16_t* q,
+                              const ModelOptions& opts,
                               const jpegfmt::simd::ContextKernels& kernels) {
   namespace simd = jpegfmt::simd;
   const int wb = cc.width_blocks;
   const std::uint16_t* abs_cur =
-      cp.abs[static_cast<std::size_t>(by_ctx % 3)].data();
+      cp.abs[static_cast<std::size_t>(by % 3)].data();
   const std::uint16_t* abs_prev =
-      cp.abs[static_cast<std::size_t>((by_ctx + 2) % 3)].data();
+      cp.abs[static_cast<std::size_t>((by + 2) % 3)].data();
   const std::uint16_t* abs_next =
-      cp.abs[static_cast<std::size_t>((by_ctx + 1) % 3)].data();
-  std::uint8_t* nz_cur = cp.nz[by_ctx & 1].data();
-  const std::uint8_t* nz_prev = cp.nz[(by_ctx - 1) & 1].data();
-  PlanePx* px_cur = cp.px[by_ctx & 1].data();
-  const PlanePx* px_prev = cp.px[(by_ctx - 1) & 1].data();
+      cp.abs[static_cast<std::size_t>((by + 1) % 3)].data();
+  std::uint8_t* nz_cur = cp.nz[by & 1].data();
+  const std::uint8_t* nz_prev = cp.nz[(by - 1) & 1].data();
+  PlanePx* px_cur = cp.px[by & 1].data();
+  const PlanePx* px_prev = cp.px[(by - 1) & 1].data();
 
   // ---- bulk magnitude-bucket pass + fix-up lanes ----
-  const bool quirk_row = v_samp == 2 && (by_ctx & 1) == 0 && by_ctx > 0;
+  const bool quirk_row = v_samp == 2 && (by & 1) == 0 && by > 0;
   if (above_valid) {
     // Blocks 1..wb-1 as three parallel streams (above / left / above-left
     // are the same plane shifted by one row and/or one block). For
@@ -287,7 +278,7 @@ inline void plane_context_row(ComponentPlane& cp, BlockCtx* out_row,
 
   // ---- per-block scalar tail ----
   for (int bx = 0; bx < wb; ++bx) {
-    const std::int16_t* truth = cc.block(bx, by_src);
+    const std::int16_t* truth = cc.block(bx, by);
     BlockCtx& bc = out_row[bx];
     const bool left_valid = bx > 0;
     const bool al_valid = above_valid && left_valid;
@@ -320,9 +311,8 @@ inline void plane_context_row(ComponentPlane& cp, BlockCtx* out_row,
     last_i[0] = colbits != 0 ? (63 - std::countl_zero(colbits)) / 8 : 0;
     last_i[1] = rowbits != 0 ? 63 - std::countl_zero(rowbits) : 0;
     const std::int16_t* above_truth =
-        above_valid ? cc.block(bx, by_above_src) : nullptr;
-    const std::int16_t* left_truth =
-        left_valid ? cc.block(bx - 1, by_src) : nullptr;
+        above_valid ? cc.block(bx, by - 1) : nullptr;
+    const std::int16_t* left_truth = left_valid ? cc.block(bx - 1, by) : nullptr;
     if (opts.lakhani_edges) {
       for (int i = 1; i <= last_i[0]; ++i) {
         bc.pb[0][i] = static_cast<std::uint8_t>(
@@ -334,12 +324,9 @@ inline void plane_context_row(ComponentPlane& cp, BlockCtx* out_row,
       }
     } else {
       const bool al_quirk = quirk_row && left_valid && bx % h_samp == 0;
-      // The quirk's below-left block is the other sub-row of the same MCU
-      // row (by_ctx even ⇒ by_src even), so `by_src + 1` is always the
-      // right source row regardless of the lane stride.
       const std::int16_t* al_truth =
-          al_quirk ? cc.block(bx - 1, by_src + 1)
-                   : (al_valid ? cc.block(bx - 1, by_above_src) : nullptr);
+          al_quirk ? cc.block(bx - 1, by + 1)
+                   : (al_valid ? cc.block(bx - 1, by - 1) : nullptr);
       for (int orientation = 0; orientation < 2; ++orientation) {
         for (int i = 1; i <= last_i[orientation]; ++i) {
           int nat = orientation == 0 ? i * 8 : i;
@@ -384,22 +371,17 @@ inline void plane_context_row(ComponentPlane& cp, BlockCtx* out_row,
   }
 }
 
-// Precomputes every component block row of MCU row `my_src` under context
-// row index `my_ctx`: stage A for all sub-rows first (an even quirk row's
-// bucket pass reads the next row's magnitudes), then stage B in row order
-// (sub-row sy=1 reads sy=0's rolling state). `my_above_src` is the source
-// MCU row whose bottom sub-row sits "above" this one in context — for a
-// contiguous segment that is `my_src - 1` (and `my_ctx == my_src`); under
-// the multi-lane row map it is the lane's previous row, a stride away.
-// `any_row_coded` = whether an MCU row was coded since the segment/lane
-// start (the first row's blocks have no "above" context). `et` points at
-// one EdgeTables per component. This is the single wiring of the stages —
-// SegmentCodec's plane path and the precompute bench both drive it, so the
-// bench measures exactly what the encoder runs.
+// Precomputes every component block row of MCU row `my`: stage A for all
+// sub-rows first (an even quirk row's bucket pass reads the next row's
+// magnitudes), then stage B in row order (sub-row sy=1 reads sy=0's
+// rolling state). `any_row_coded` = whether an MCU row was coded since the
+// segment start (the first row's blocks have no "above" context). `et`
+// points at one EdgeTables per component. This is the single wiring of the
+// stages — SegmentCodec's plane path and the precompute bench both drive
+// it, so the bench measures exactly what the encoder runs.
 inline void precompute_mcu_row(ContextPlane& plane,
                                const jpegfmt::JpegFile& jf,
-                               const jpegfmt::CoeffImage& source, int my_ctx,
-                               int my_src, int my_above_src,
+                               const jpegfmt::CoeffImage& source, int my,
                                bool any_row_coded, const EdgeTables* et,
                                const ModelOptions& opts,
                                const jpegfmt::simd::ContextKernels& kernels) {
@@ -412,21 +394,18 @@ inline void precompute_mcu_row(ContextPlane& plane,
     const int v_samp = fr.ncomp() == 1 ? 1 : comp.v_samp;
     const auto wb = static_cast<std::size_t>(cc.width_blocks);
     for (int sy = 0; sy < v_samp; ++sy) {
+      int by = fr.ncomp() == 1 ? my : my * v_samp + sy;
       plane_abs_row(cp, cp.nzm.data() + static_cast<std::size_t>(sy) * wb, cc,
-                    my_ctx * v_samp + sy, my_src * v_samp + sy, kernels);
+                    by, kernels);
     }
     for (int sy = 0; sy < v_samp; ++sy) {
-      int by_ctx = my_ctx * v_samp + sy;
-      int by_src = my_src * v_samp + sy;
+      int by = fr.ncomp() == 1 ? my : my * v_samp + sy;
       bool above_valid = sy > 0 || any_row_coded;
-      int by_above_src =
-          sy > 0 ? by_src - 1 : my_above_src * v_samp + (v_samp - 1);
       plane_context_row(cp, cp.ctx.data() + static_cast<std::size_t>(sy) * wb,
                         cp.mag.data() + static_cast<std::size_t>(sy) * wb * 64,
                         cp.nzm.data() + static_cast<std::size_t>(sy) * wb, cc,
-                        by_ctx, by_src, by_above_src, above_valid, comp.h_samp,
-                        v_samp, et[static_cast<std::size_t>(ci)], q, opts,
-                        kernels);
+                        by, above_valid, comp.h_samp, v_samp,
+                        et[static_cast<std::size_t>(ci)], q, opts, kernels);
     }
   }
 }

@@ -1,7 +1,7 @@
 // Tests for the Lepton container format (§A.1): serialization round trips
-// across segment counts and payload sizes, interleaving behaviour, version
-// gating (the §6.7 old-version incident), structural fuzzing, and the
-// SECCOMP sandbox glue (§5.1).
+// across segment counts (up to kMaxSegments) and payload sizes, interleaving
+// behaviour, version gating (the §6.7 old-version incident), the segment
+// count limit, structural fuzzing, and the SECCOMP sandbox glue (§5.1).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -13,6 +13,7 @@
 
 namespace lc = lepton::core;
 namespace jf = lepton::jpegfmt;
+using lepton::util::ExitCode;
 
 namespace {
 
@@ -108,111 +109,55 @@ TEST_P(FormatRoundTrip, HeaderAndStreamsSurvive) {
   }
 }
 
+// 256 is kMaxSegments: the largest count a one-byte section header can
+// address.
 INSTANTIATE_TEST_SUITE_P(SegmentCounts, FormatRoundTrip,
-                         ::testing::Values(0, 1, 2, 3, 8, 16, 64));
+                         ::testing::Values(0, 1, 2, 3, 8, 16, 64, 256));
 
 TEST(Format, RejectsWrongVersion) {
   // §6.7: an accidentally deployed incompatible version must fail loudly,
-  // not decode garbage. The version matrix: v2 and v3 parse, anything else
-  // (the retired version 1 included) is rejected.
+  // not decode garbage. Version 2 is the only one this build speaks; the
+  // retired version 1 and the retired multi-lane version 3 are rejected
+  // like any unknown byte, and classified from the first three bytes.
   lepton::util::Rng rng(5);
   auto h = sample_header(2, rng);
   auto arith = sample_arith(2, rng);
   auto bytes = lc::serialize_container(h, arith);
-  for (std::uint8_t bad : {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{4},
-                           std::uint8_t{99}}) {
+  ASSERT_EQ(bytes[2], lc::kFormatVersion);
+  for (std::uint8_t bad : {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{3},
+                           std::uint8_t{4}, std::uint8_t{99}}) {
     auto mutated = bytes;
     mutated[2] = bad;  // version byte
-    EXPECT_THROW(lc::parse_container({mutated.data(), mutated.size()}),
-                 jf::ParseError)
+    try {
+      (void)lc::parse_container({mutated.data(), mutated.size()});
+      ADD_FAILURE() << "version " << int(bad) << " parsed";
+    } catch (const jf::ParseError& e) {
+      EXPECT_EQ(e.code(), ExitCode::kUnsupportedJpeg) << "version " << int(bad);
+    }
+    lc::ContainerParser parser;
+    EXPECT_EQ(parser.feed({mutated.data(), 3}), ExitCode::kUnsupportedJpeg)
         << "version " << int(bad);
   }
 }
 
-namespace {
-
-// Splits each segment's payload length into a consistent v3 lane table.
-void assign_lane_tables(lc::ContainerHeader& h,
-                        const std::vector<std::vector<std::uint8_t>>& arith,
-                        lepton::util::Rng& rng) {
-  h.version = lc::kFormatVersionV3;
-  for (std::size_t i = 0; i < h.segments.size(); ++i) {
-    std::size_t lanes = 1 + rng.below(4);
-    auto total = static_cast<std::uint32_t>(arith[i].size());
-    auto& ll = h.segments[i].lane_lens;
-    ll.assign(lanes, 0);
-    for (std::size_t k = 0; k + 1 < lanes; ++k) {
-      ll[k] = static_cast<std::uint32_t>(rng.below(total / lanes + 1));
-      total -= ll[k];
-    }
-    ll[lanes - 1] = total;
-  }
-}
-
-}  // namespace
-
-TEST(Format, V3LaneTablesRoundTrip) {
-  lepton::util::Rng rng(77);
-  auto h = sample_header(4, rng);
-  auto arith = sample_arith(4, rng);
-  assign_lane_tables(h, arith, rng);
+TEST(Format, RejectsMoreSegmentsThanSectionsAddress) {
+  // A section header names its segment in one byte, so a container cannot
+  // carry more than kMaxSegments (256) segments; a header declaring more is
+  // structurally corrupt, rejected at the outer header.
+  lepton::util::Rng rng(8);
+  const int n = static_cast<int>(lc::kMaxSegments) + 1;
+  auto h = sample_header(n, rng);
+  std::vector<std::vector<std::uint8_t>> arith(static_cast<std::size_t>(n));
   auto bytes = lc::serialize_container(h, arith);
-  EXPECT_EQ(bytes[2], lc::kFormatVersionV3);
-
-  auto parsed = lc::parse_container({bytes.data(), bytes.size()});
-  EXPECT_EQ(parsed.header.version, lc::kFormatVersionV3);
-  ASSERT_EQ(parsed.header.segments.size(), h.segments.size());
-  for (std::size_t i = 0; i < h.segments.size(); ++i) {
-    EXPECT_EQ(parsed.header.segments[i].lane_lens, h.segments[i].lane_lens);
-    EXPECT_EQ(parsed.arith[i], arith[i]);
+  lc::ContainerParser parser;
+  EXPECT_EQ(parser.feed({bytes.data(), bytes.size()}), ExitCode::kNotAnImage);
+  EXPECT_FALSE(parser.header_ready());
+  try {
+    (void)lc::parse_container({bytes.data(), bytes.size()});
+    ADD_FAILURE() << n << " segments parsed";
+  } catch (const jf::ParseError& e) {
+    EXPECT_EQ(e.code(), ExitCode::kNotAnImage);
   }
-}
-
-TEST(Format, RejectsCorruptLaneTable) {
-  lepton::util::Rng rng(78);
-  // Lane lengths that do not sum to the payload length.
-  {
-    auto h = sample_header(2, rng);
-    auto arith = sample_arith(2, rng);
-    assign_lane_tables(h, arith, rng);
-    h.segments[1].lane_lens.back() += 1;
-    auto bytes = lc::serialize_container(h, arith);
-    EXPECT_THROW(lc::parse_container({bytes.data(), bytes.size()}),
-                 jf::ParseError);
-  }
-  // More lanes than kMaxLanes admits.
-  {
-    auto h = sample_header(1, rng);
-    auto arith = sample_arith(1, rng);
-    h.version = lc::kFormatVersionV3;
-    h.segments[0].lane_lens.assign(lc::kMaxLanes + 1, 0);
-    h.segments[0].lane_lens.back() =
-        static_cast<std::uint32_t>(arith[0].size());
-    auto bytes = lc::serialize_container(h, arith);
-    EXPECT_THROW(lc::parse_container({bytes.data(), bytes.size()}),
-                 jf::ParseError);
-  }
-}
-
-TEST(Format, V3StructuralFuzzNeverCrashes) {
-  lepton::util::Rng rng(79);
-  auto h = sample_header(4, rng);
-  auto arith = sample_arith(4, rng);
-  assign_lane_tables(h, arith, rng);
-  auto bytes = lc::serialize_container(h, arith);
-  for (int trial = 0; trial < 500; ++trial) {
-    auto mutated = bytes;
-    for (int i = 0; i < 8; ++i) {
-      mutated[rng.below(mutated.size())] =
-          static_cast<std::uint8_t>(rng.below(256));
-    }
-    try {
-      (void)lc::parse_container({mutated.data(), mutated.size()});
-    } catch (const jf::ParseError&) {
-      // classified rejection is the expected outcome
-    }
-  }
-  SUCCEED();
 }
 
 TEST(Format, RejectsBadMagicAndTruncation) {

@@ -1,6 +1,6 @@
 // Tests for the adaptive-model hot-loop overhaul (ISSUE 3): the clustered
-// bin layout contract, bit-exact equivalence of the speculative decode
-// paths against the per-bit reference templates, Branch saturation edges,
+// bin layout contract, bit-exact equivalence of the speculative tree decode
+// against the per-bit reference template, Branch saturation edges,
 // and corpus round-trips with SIMD dispatch forced on and off.
 #include <gtest/gtest.h>
 
@@ -185,8 +185,10 @@ TEST(SpeculativeDecode, BitExactWithReferenceOverFuzzedStates) {
       enc.finish_into_buffer();
     }
 
-    // Decode twice from identically warmed state: the speculative overloads
-    // (what SegmentCodec uses) and the per-bit reference templates.
+    // Decode twice from identically warmed state: the speculative code_tree
+    // overload (what SegmentCodec uses) and the per-bit reference template.
+    // Value codes run the one code_value template on both sides; they keep
+    // the stream state realistic between the tree codes under test.
     Workload spec_w(seed, 4000), ref_w(seed, 4000);
     lc::BoolDecoder spec_dec({stream.data(), stream.size()});
     lc::BoolDecoder ref_dec({stream.data(), stream.size()});

@@ -16,6 +16,7 @@
 #include "jpeg/stuffed_bitio.h"
 #include "lepton/format.h"
 #include "lepton/lepton.h"
+#include "lepton/plan.h"
 #include "util/bitio.h"
 #include "util/rng.h"
 #include "util/tracked_memory.h"
@@ -367,6 +368,34 @@ TEST(DecodeStats, CleanDecodeConsumesPayloadExactly) {
   EXPECT_EQ(sink.data, file);
   EXPECT_FALSE(stats.payload_overrun);
   EXPECT_TRUE(stats.payload_exhausted);
+}
+
+TEST(DecodeStats, TruncatedStreamReportsOverrun) {
+  // A structurally valid container whose *content* is short: the segment
+  // keeps only a sliver of its arithmetic stream, so its BoolDecoder
+  // certainly reads past the end within the first rows (a gentle chop can
+  // decode to garbage that still classifies before the window drains). The
+  // overrun must reach DecodeStats even though the decode fails.
+  auto file = corpus_jpeg(40, 32);
+  lepton::EncodeOptions opt;
+  opt.force_threads = 1;
+  auto enc = lepton::encode_jpeg({file.data(), file.size()}, opt);
+  ASSERT_TRUE(enc.ok());
+  auto pc = lepton::core::parse_container({enc.data.data(), enc.data.size()});
+  ASSERT_EQ(pc.header.segments.size(), 1u);
+  constexpr std::size_t kKeep = 16;
+  ASSERT_GT(pc.arith[0].size(), kKeep);
+  pc.arith[0].resize(kKeep);
+  lepton::VectorSink sink;
+  lepton::DecodeStats stats;
+  try {
+    lepton::core::decode_container(pc, sink, {}, lepton::default_context(),
+                                   &stats);
+  } catch (const jf::ParseError&) {
+    // a classified failure is the expected outcome
+  }
+  EXPECT_TRUE(stats.payload_overrun);
+  EXPECT_FALSE(stats.payload_exhausted);
 }
 
 // ---- Huffman LUT decode ----------------------------------------------------

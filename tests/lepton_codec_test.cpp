@@ -1,9 +1,13 @@
 // Integration tests for the Lepton codec: exact round trips across thread
-// counts, streaming decode, 4-MiB-chunk independence, determinism, the
-// transparent-store admit gate, and hostile-container handling.
+// counts (up to the kMaxSegments clamp), streaming decode, 4-MiB-chunk
+// independence, determinism, the committed golden container (read and write
+// paths), the transparent-store admit gate, and hostile-container handling.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "corpus/corpus.h"
 #include "jpeg/jfif_builder.h"
@@ -43,6 +47,12 @@ std::vector<std::uint8_t> make_jpeg(int w, int h, std::uint64_t seed,
                                     jf::JfifOptions opt = {},
                                     int channels = 3) {
   return jf::build_jfif(photo_like(w, h, seed, channels), opt);
+}
+
+std::vector<std::uint8_t> read_fixture(const char* name) {
+  std::ifstream f(std::string(LEPTON_TEST_DATA_DIR) + "/" + name,
+                  std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
 }
 
 }  // namespace
@@ -113,10 +123,15 @@ TEST(LeptonCodec, TrailingGarbageAndThumbnailConcat) {
 TEST(LeptonCodec, DeterministicAcrossRuns) {
   auto file = make_jpeg(200, 150, 45);
   lepton::EncodeOptions opt;
+  opt.force_threads = 4;
   auto a = lepton::encode_jpeg({file.data(), file.size()}, opt);
   auto b = lepton::encode_jpeg({file.data(), file.size()}, opt);
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a.data, b.data) << "encode must be deterministic (§5.2)";
+  lepton::EncodeOptions serial_opt = opt;
+  serial_opt.run_parallel = false;
+  auto c = lepton::encode_jpeg({file.data(), file.size()}, serial_opt);
+  EXPECT_EQ(a.data, c.data) << "parallel and serial encode must agree";
   auto d1 = lepton::decode_lepton({a.data.data(), a.data.size()});
   lepton::DecodeOptions serial;
   serial.run_parallel = false;
@@ -202,6 +217,58 @@ TEST(LeptonCodec, HostileContainersNeverCrash) {
     (void)lepton::decode_lepton({mutated.data(), mutated.size()}, sink);
   }
   SUCCEED();
+}
+
+TEST(LeptonCodec, ForcedThreadsClampToAddressableSegments) {
+  // A section header names its segment in one byte, so a forced thread
+  // count above kMaxSegments (256) must clamp to it, not write a container
+  // the parser rejects. 64x4800 grayscale has 600 MCU rows.
+  auto file = make_jpeg(64, 4800, 52, {}, 1);
+  lepton::EncodeOptions opt;
+  opt.force_threads = 300;
+  auto enc = lepton::encode_jpeg({file.data(), file.size()}, opt);
+  ASSERT_TRUE(enc.ok()) << enc.message;
+  auto parsed =
+      lepton::core::parse_container({enc.data.data(), enc.data.size()});
+  EXPECT_EQ(parsed.header.segments.size(), lepton::core::kMaxSegments);
+  auto dec = lepton::decode_lepton({enc.data.data(), enc.data.size()});
+  ASSERT_EQ(dec.code, ExitCode::kSuccess);
+  EXPECT_EQ(dec.data, file);
+}
+
+// ---- Golden container --------------------------------------------------------
+//
+// tests/data/golden_v2.lep is golden_v2.jpg encoded with force_threads = 2
+// by an earlier build. It pins both directions of the one container format:
+// today's decoder must read it, and today's encoder must write it again.
+
+TEST(LeptonCodec, GoldenV2FixtureDecodesByteIdentically) {
+  auto jpeg = read_fixture("golden_v2.jpg");
+  auto lep = read_fixture("golden_v2.lep");
+  ASSERT_FALSE(jpeg.empty());
+  ASSERT_FALSE(lep.empty());
+  ASSERT_EQ(lep[2], lepton::core::kFormatVersion);
+
+  lepton::VectorSink sink;
+  lepton::DecodeStats stats;
+  ASSERT_EQ(lepton::decode_lepton({lep.data(), lep.size()}, sink, {},
+                                  lepton::default_context(), &stats),
+            ExitCode::kSuccess);
+  EXPECT_EQ(sink.data, jpeg);
+  EXPECT_FALSE(stats.payload_overrun);
+  EXPECT_TRUE(stats.payload_exhausted);
+}
+
+TEST(LeptonCodec, GoldenV2FixtureReencodesByteIdentically) {
+  auto jpeg = read_fixture("golden_v2.jpg");
+  auto lep = read_fixture("golden_v2.lep");
+  ASSERT_FALSE(jpeg.empty());
+  ASSERT_FALSE(lep.empty());
+  lepton::EncodeOptions opt;
+  opt.force_threads = 2;
+  auto enc = lepton::encode_jpeg({jpeg.data(), jpeg.size()}, opt);
+  ASSERT_TRUE(enc.ok()) << enc.message;
+  EXPECT_EQ(enc.data, lep) << "the encoder's output format changed";
 }
 
 // ---- Chunk layer -----------------------------------------------------------

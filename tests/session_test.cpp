@@ -552,8 +552,8 @@ TEST(Sessions, LateFeedDoesNotPoisonFinishedSession) {
 }
 
 TEST(ContainerParser, HostileArithLengthsDoNotReserveUnbounded) {
-  // A few-hundred-KB container header declaring 4096 segments of 4 GiB
-  // each must not make the parser reserve terabytes before the decode
+  // A container header declaring kMaxSegments segments of 4 GiB each
+  // (1 TiB in all) must not make the parser reserve that before the decode
   // gate ever runs; reservation is budget-capped and real memory grows
   // only with bytes actually fed.
   lepton::util::Serializer p;
@@ -570,7 +570,7 @@ TEST(ContainerParser, HostileArithLengthsDoNotReserveUnbounded) {
   p.u64(0);              // prefix_off
   p.u64(0);              // prefix_len
   p.blob({});            // suffix
-  constexpr std::uint32_t kSegs = 4096;
+  constexpr std::uint32_t kSegs = lepton::core::kMaxSegments;
   p.u32(kSegs);
   for (std::uint32_t i = 0; i < kSegs; ++i) {
     p.u32(0);            // start_row
@@ -609,6 +609,24 @@ TEST(ContainerParser, HostileArithLengthsDoNotReserveUnbounded) {
   }
   EXPECT_LT(reserved, 16u << 20)
       << "eager reservation must be budget-capped against hostile headers";
+}
+
+TEST(DecodeSession, RetiredVersionRejectedByThirdByte) {
+  // §6.7: a container with version byte 3 (the retired multi-lane format)
+  // is unsupported. The streaming path says so as soon as the version byte
+  // arrives, and the one-shot path classifies the whole container the same.
+  auto file = make_jpeg(96, 96, 919);
+  auto lep = encode_or_die({file.data(), file.size()}, 2);
+  ASSERT_EQ(lep[2], lepton::core::kFormatVersion);
+  lep[2] = 3;
+  lepton::VectorSink sink;
+  lepton::DecodeSession session(sink);
+  EXPECT_EQ(session.feed({lep.data(), 2}), ExitCode::kSuccess);
+  EXPECT_EQ(session.feed({lep.data() + 2, 1}), ExitCode::kUnsupportedJpeg);
+  EXPECT_EQ(session.finish(), ExitCode::kUnsupportedJpeg);
+  EXPECT_TRUE(sink.data.empty());
+  EXPECT_EQ(lepton::decode_lepton({lep.data(), lep.size()}).code,
+            ExitCode::kUnsupportedJpeg);
 }
 
 // ---- cancellation and deadlines --------------------------------------------
