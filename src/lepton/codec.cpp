@@ -344,25 +344,6 @@ void SegmentRunner::run_one(std::size_t seg, bool tripped) {
   cv_.notify_all();
 }
 
-void decode_container(const ParsedContainer& pc, ByteSink& sink,
-                      const DecodeOptions& opts, CodecContext& ctx,
-                      DecodeStats* stats) {
-  const ContainerHeader& h = pc.header;
-  jpegfmt::JpegFile hdr = validate_container_decode(h);
-
-  // Verbatim prefix (header bytes belonging to this chunk's byte range).
-  sink.append({h.jpeg_header.data() + h.prefix_off, h.prefix_len});
-
-  DecodeRunFlags flags;
-  ExitCode code = SegmentRunner(h, hdr, sink, opts, ctx, &flags)
-                      .run_rest(pc.arith);
-  flags.fill(stats);
-  if (code != ExitCode::kSuccess) {
-    throw jpegfmt::ParseError(code, "segment decode failed");
-  }
-  sink.append({h.suffix.data(), h.suffix.size()});
-}
-
 }  // namespace core
 
 // ---- one-shot wrappers ------------------------------------------------------

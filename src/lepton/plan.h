@@ -60,11 +60,12 @@ std::vector<std::uint8_t> encode_container(
     const ContainerPlan& plan, const EncodeOptions& opts,
     model::SectionTally* tally, CodecContext& ctx);
 
-// ---- shared decode driver ---------------------------------------------------
+// ---- decode driver pieces ---------------------------------------------------
 //
-// DecodeSession (session.h) and the whole-buffer decode path are built from
-// the same pieces below, so there is exactly one segment-decode code path
-// regardless of how the container bytes arrived.
+// DecodeSession (session.h) is the one decode driver; every whole-buffer
+// decode (decode_lepton, ChunkCodec) feeds a session. It is built from the
+// pieces below, so there is exactly one segment-decode code path regardless
+// of how the container bytes arrived.
 
 // In-order streaming assembler for parallel segment output (§3.4: separate
 // threads each write their own segment, which is concatenated and sent).
@@ -223,12 +224,5 @@ class SegmentRunner {
   std::size_t n_done_ = 0;
   std::size_t settled_ = 0;  // segments [0, settled_) finished with success
 };
-
-// Decodes one parsed container into `sink` (implemented in codec.cpp).
-// Throws jpegfmt::ParseError with a §6.2 classification on failure.
-// `stats` (optional) reports payload-consumption facts.
-void decode_container(const ParsedContainer& pc, ByteSink& sink,
-                      const DecodeOptions& opts, CodecContext& ctx,
-                      DecodeStats* stats = nullptr);
 
 }  // namespace lepton::core

@@ -7,12 +7,12 @@
 // no mmap. A compromised parser can then at worst corrupt its own output,
 // which the round-trip gate rejects (§5.7).
 //
-// This repository reproduces the *architecture* portably (arena-allocated
-// memory, pre-spawned threads, no allocation after input is read — see
-// util/arena.h and the codec) and offers the real SECCOMP_MODE_STRICT entry
-// here for Linux hosts. Because strict mode forbids nearly everything, it
-// is exercised from a forked child in tests rather than wired into the
-// library path.
+// This repository reproduces the *architecture* portably (pre-spawned
+// threads and reusable scratch: a CodecContext's pool and scratch,
+// lepton/context.h, make no model-sized allocation after warm-up) and
+// offers the real SECCOMP_MODE_STRICT entry here for Linux hosts. Because
+// strict mode forbids nearly everything, it is exercised from a forked
+// child in tests rather than wired into the library path.
 #pragma once
 
 namespace lepton::core {

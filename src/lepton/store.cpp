@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "lepton/context.h"
@@ -47,46 +48,43 @@ bool TransparentStore::recheck_shutoff() const {
   return on;
 }
 
+util::ExitCode roundtrip_gate(std::span<const std::uint8_t> original,
+                              std::span<const std::uint8_t> container,
+                              DecodeStats* stats) {
+  VectorSink sink;
+  DecodeStats ds;
+  util::ExitCode code =
+      decode_lepton(container, sink, {}, default_context(), &ds);
+  if (stats != nullptr) *stats = ds;
+  // A decode that overran or under-consumed its payload is suspect even
+  // when the bytes compare equal — same posture as the qualification gate
+  // (verify.cpp), which calls this function: consumption facts are part of
+  // the round trip.
+  bool exact = code == util::ExitCode::kSuccess && ds.payload_exhausted &&
+               std::equal(sink.data.begin(), sink.data.end(),
+                          original.begin(), original.end());
+  return exact ? util::ExitCode::kSuccess : util::ExitCode::kRoundtripFailed;
+}
+
 StoredObject TransparentStore::put(std::span<const std::uint8_t> file,
                                    PutStats* stats) const {
   StoredObject obj;
   PutStats local;
   local.bytes_in = file.size();
 
-  if (!shutoff_active()) {
+  if (shutoff_active()) {
+    local.lepton_code = util::ExitCode::kServerShutdown;
+  } else {
     Result enc = encode_jpeg(file, opts_);
     local.lepton_code = enc.code;
-    if (enc.ok()) {
-      // md5 of the compressed buffer *before* the round-trip test (§5.7):
-      // if memory is corrupted after this point, get() will notice.
-      std::string md5 = util::Md5::hex_digest({enc.data.data(),
-                                               enc.data.size()});
-      VectorSink rt_sink;
-      DecodeStats rt_stats;
-      util::ExitCode rt_code =
-          decode_lepton({enc.data.data(), enc.data.size()}, rt_sink, {},
-                        default_context(), &rt_stats);
-      // A decode that overran or under-consumed its payload is suspect even
-      // when the bytes compare equal — same posture as the qualification
-      // gate (verify.cpp): consumption facts are part of the round trip.
-      local.roundtrip_ok =
-          rt_code == util::ExitCode::kSuccess && rt_stats.payload_exhausted &&
-          rt_sink.data.size() == file.size() &&
-          std::equal(rt_sink.data.begin(), rt_sink.data.end(), file.begin());
-      if (local.roundtrip_ok) {
-        obj.kind = StorageKind::kLepton;
-        obj.payload = std::move(enc.data);
-        obj.md5_hex = std::move(md5);
-        local.bytes_out = obj.payload.size();
-        if (stats != nullptr) *stats = local;
-        return obj;
-      }
-      // A compressor that cannot reproduce its input must not admit the
-      // file (§5.7); reclassify and fall through to Deflate.
-      local.lepton_code = util::ExitCode::kRoundtripFailed;
+    // The container this process just encoded is admitted exactly like a
+    // fleet conversion: a compressor that cannot reproduce its input must
+    // not admit the file (§5.7), so a failed gate (kRoundtripFailed) falls
+    // through to Deflate.
+    if (enc.ok() && admit_converted(file, std::move(enc.data), &obj, &local)) {
+      if (stats != nullptr) *stats = local;
+      return obj;
     }
-  } else {
-    local.lepton_code = util::ExitCode::kServerShutdown;
   }
 
   obj.kind = StorageKind::kDeflate;
@@ -121,22 +119,14 @@ bool TransparentStore::admit_converted(std::span<const std::uint8_t> original,
                                        PutStats* stats) const {
   PutStats local;
   local.bytes_in = original.size();
-  // md5 before the round-trip test, same §5.7 ordering as put(): corruption
-  // between this check and the write is what get() then catches.
+  // md5 of the compressed buffer *before* the round-trip test (§5.7): if
+  // memory is corrupted between this check and the write, get() notices.
   std::string md5 = util::Md5::hex_digest({container.data(),
                                            container.size()});
-  VectorSink rt_sink;
-  DecodeStats rt_stats;
-  util::ExitCode rt_code =
-      decode_lepton({container.data(), container.size()}, rt_sink, {},
-                    default_context(), &rt_stats);
-  local.lepton_code = rt_code;
-  local.roundtrip_ok =
-      rt_code == util::ExitCode::kSuccess && rt_stats.payload_exhausted &&
-      rt_sink.data.size() == original.size() &&
-      std::equal(rt_sink.data.begin(), rt_sink.data.end(), original.begin());
+  local.lepton_code =
+      roundtrip_gate(original, {container.data(), container.size()});
+  local.roundtrip_ok = local.lepton_code == util::ExitCode::kSuccess;
   if (!local.roundtrip_ok) {
-    local.lepton_code = util::ExitCode::kRoundtripFailed;
     if (stats != nullptr) *stats = local;
     return false;
   }

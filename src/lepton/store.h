@@ -11,7 +11,8 @@
 // (session.h) via encode_jpeg/decode_lepton, and both consume the decoder's
 // payload-consumption facts: a decode whose arithmetic payload overran (or
 // was left unconsumed) is treated as corrupt even when the byte count came
-// out right.
+// out right. The admission rule itself is roundtrip_gate() below, the one
+// check put(), admit_converted() and qualification (verify.h) all apply.
 #pragma once
 
 #include <atomic>
@@ -73,6 +74,15 @@ struct PutStats {
   std::size_t bytes_out = 0;
 };
 
+// The §5.7 round-trip gate: decodes `container` (default options, on the
+// default context) and requires success, an arithmetic payload consumed
+// exactly (no overrun, nothing left over) and output byte-identical to
+// `original`. Returns kSuccess or kRoundtripFailed; `stats` (optional)
+// receives the decode's consumption facts.
+util::ExitCode roundtrip_gate(std::span<const std::uint8_t> original,
+                              std::span<const std::uint8_t> container,
+                              DecodeStats* stats = nullptr);
+
 class TransparentStore {
  public:
   explicit TransparentStore(EncodeOptions opts = {}) : opts_(opts) {}
@@ -80,8 +90,9 @@ class TransparentStore {
   TransparentStore(const TransparentStore&) = delete;
   TransparentStore& operator=(const TransparentStore&) = delete;
 
-  // Compresses and admits a file. Never fails: the Deflate fallback always
-  // succeeds. `stats` (optional) reports what happened, in §6.2 terms.
+  // Compresses and admits a file through admit_converted(). Never fails:
+  // the Deflate fallback always succeeds. `stats` (optional) reports what
+  // happened, in §6.2 terms.
   // Thread-safe: concurrent put() calls on one store are supported (the
   // store holds no per-call state beyond the shutoff cache below).
   StoredObject put(std::span<const std::uint8_t> file,
@@ -93,11 +104,10 @@ class TransparentStore {
   StoredObject put_passthrough(std::span<const std::uint8_t> file,
                                PutStats* stats = nullptr) const;
 
-  // Admits a container produced *elsewhere* (a fleet conversion) under the
-  // same §5.7 gate as put(): md5 the container first, then require a local
-  // round-trip decode byte-identical to `original` with the payload exactly
-  // consumed. True = *out is the admitted Lepton object; false = the
-  // container failed the gate (corrupt or mismatched) and nothing was
+  // Admits a Lepton container — put()'s own encode or a fleet conversion:
+  // md5 the container first, then require roundtrip_gate(). True = *out is
+  // the admitted Lepton object; false = the container failed the gate
+  // (corrupt or mismatched, lepton_code kRoundtripFailed) and nothing was
   // admitted — the caller falls back, it never stores the container.
   bool admit_converted(std::span<const std::uint8_t> original,
                        std::vector<std::uint8_t> container, StoredObject* out,

@@ -1,6 +1,8 @@
 #include "lepton/verify.h"
 
-#include "lepton/context.h"
+#include <algorithm>
+
+#include "lepton/store.h"
 
 namespace lepton {
 
@@ -15,41 +17,32 @@ void QualificationRunner::run_file(std::span<const std::uint8_t> file,
     return;
   }
 
-  // Decode #1: production configuration (multithreaded), with stream
-  // accounting: a "successful" decode whose arithmetic payload overran is a
-  // truncated/corrupt stream that happened to produce the right byte count,
-  // and must not be admitted (§5.7).
-  DecodeOptions par;
-  par.run_parallel = true;
+  // Decode #1: production configuration (multithreaded) through the §5.7
+  // admission gate (store.h), so a file qualifies exactly when the store
+  // would admit its container: a "successful" decode whose arithmetic
+  // payload overran or was left unconsumed is a corrupt stream that
+  // happened to produce the right byte count.
   DecodeStats stats;
-  Result d1;
-  {
-    VectorSink sink;
-    d1.code = decode_lepton({enc.data.data(), enc.data.size()}, sink, par,
-                            default_context(), &stats);
-    d1.data = std::move(sink.data);
-  }
-
-  // Decode #2: independent schedule (the gcc/asan single-threaded build in
-  // production, §5.2/§5.6).
-  DecodeOptions ser;
-  ser.run_parallel = false;
-  Result d2 = decode_lepton({enc.data.data(), enc.data.size()}, ser);
-  if (mutator_) mutator_(d2.data);
-
-  bool rt1 = d1.ok() && !stats.payload_overrun &&
-             d1.data.size() == file.size() &&
-             std::equal(d1.data.begin(), d1.data.end(), file.begin());
-  if (!rt1) {
+  if (roundtrip_gate(file, enc.data, &stats) != util::ExitCode::kSuccess) {
     ++rep->mismatches;
     ++rep->by_code[static_cast<std::size_t>(util::ExitCode::kRoundtripFailed)];
     rep->alerts.push_back(
         stats.payload_overrun
             ? "decoder overran its arithmetic payload (truncation, §5.7)"
+        : !stats.payload_exhausted
+            ? "decoder left arithmetic payload unconsumed (§5.7)"
             : "round-trip mismatch (pages the on-call, §5.7)");
     return;
   }
-  if (!d2.ok() || d2.data != d1.data) {
+
+  // Decode #2: independent schedule (the gcc/asan single-threaded build in
+  // production, §5.2/§5.6); decode #1 reproduced `file`, so #2 must too.
+  DecodeOptions ser;
+  ser.run_parallel = false;
+  Result d2 = decode_lepton({enc.data.data(), enc.data.size()}, ser);
+  if (mutator_) mutator_(d2.data);
+  if (!d2.ok() || !std::equal(d2.data.begin(), d2.data.end(), file.begin(),
+                              file.end())) {
     ++rep->nondeterminism;
     rep->alerts.push_back(
         "two decodes of one file disagree: nondeterminism (§5.2)");

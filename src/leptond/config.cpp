@@ -92,9 +92,6 @@ bool apply_option(DaemonConfig* cfg, const std::string& key,
     }
     return true;
   }
-  if (key == "decode-cache-mb") {
-    return parse_u64(value, &cfg->decode_cache_mb) ? true : bad("bad value");
-  }
   if (key == "shutoff-file") {
     cfg->shutoff_file = value;
     return true;
@@ -256,10 +253,6 @@ std::string usage_text() {
       "  --max-body-bytes N     per-request body cap (default 6 MiB)\n"
       "  --idle-timeout-ms N    idle window / body wall budget (default "
       "30000)\n"
-      "  --decode-cache-mb N    decoded-output LRU for DECODE, MiB "
-      "(default 0 = off;\n"
-      "                         hits skip the decode, misses buffer the "
-      "body first)\n"
       "  --shutoff-file PATH    kill-switch file (SIGHUP re-stats it)\n"
       "  --pidfile PATH         write the daemon pid here\n"
       "  --quiet                no startup/shutdown chatter\n"

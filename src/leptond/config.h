@@ -18,10 +18,6 @@ struct DaemonConfig {
   int max_in_flight = 4;
   std::uint64_t max_body_bytes = 6u << 20;
   std::uint64_t idle_timeout_ms = 30000;
-  // Decoded-output LRU budget for DECODE requests, in MiB; 0 disables.
-  // Hits skip the decode; misses buffer the body and decode at END (the
-  // TTFB trade is documented on ServiceConfig::decode_cache_bytes).
-  std::uint64_t decode_cache_mb = 0;
   std::string shutoff_file;          // §5.7 kill-switch file (SIGHUP re-stats)
   std::string pidfile;
   bool quiet = false;

@@ -107,8 +107,6 @@ int main(int argc, char** argv) {
   ec.service.max_body_bytes = cfg.max_body_bytes;
   ec.service.idle_read_timeout =
       std::chrono::milliseconds(cfg.idle_timeout_ms);
-  ec.service.decode_cache_bytes =
-      static_cast<std::size_t>(cfg.decode_cache_mb) << 20;
   ec.service.store = &store;
   lepton::leptond::EventServer plane(std::move(ec), ctx_p);
 

@@ -8,7 +8,6 @@
 #include "lepton/context.h"
 #include "lepton/session.h"
 #include "server/sockio.h"
-#include "util/md5.h"
 
 namespace lepton::server {
 namespace {
@@ -98,35 +97,6 @@ class SocketSink : public ByteSink {
   std::uint64_t bytes_ = 0;
 };
 
-// Tees session output: forwards every slice to the socket and keeps a
-// bounded copy for decode-cache insertion. Output past the cap stops the
-// copy (the cache would reject it anyway) but keeps streaming.
-class CaptureSink : public ByteSink {
- public:
-  CaptureSink(SocketSink& inner, std::size_t cap) : inner_(inner), cap_(cap) {}
-
-  void append(std::span<const std::uint8_t> b) override {
-    inner_.append(b);
-    if (overflow_) return;
-    if (copy_.size() + b.size() > cap_) {
-      overflow_ = true;
-      copy_.clear();
-      copy_.shrink_to_fit();
-      return;
-    }
-    copy_.insert(copy_.end(), b.begin(), b.end());
-  }
-
-  bool overflow() const { return overflow_; }
-  std::vector<std::uint8_t> take() { return std::move(copy_); }
-
- private:
-  SocketSink& inner_;
-  std::size_t cap_;
-  std::vector<std::uint8_t> copy_;
-  bool overflow_ = false;
-};
-
 void append_kv(std::string& s, const char* key, std::uint64_t v) {
   s += key;
   s += ' ';
@@ -149,11 +119,6 @@ RequestService::RequestService(ServiceConfig cfg, CodecContext* ctx)
     store_ = own_store_.get();
   } else {
     store_ = cfg_.store;
-  }
-  if (cfg_.decode_cache_bytes > 0) {
-    storage::DecodeCacheConfig cc;
-    cc.budget_bytes = cfg_.decode_cache_bytes;
-    decode_cache_ = std::make_unique<storage::DecodeCache>(cc);
   }
 }
 
@@ -264,9 +229,6 @@ std::string RequestService::stats_text() {
               static_cast<std::uint64_t>(util::failpoint::report().size()));
     t += util::failpoint::stats_text();
   }
-  // Additive keys: decoded-output cache counters, present only when the
-  // cache is configured (--decode-cache-mb / decode_cache_bytes).
-  if (decode_cache_ != nullptr) t += decode_cache_->stats_text();
   if (cfg_.extra_stats) t += cfg_.extra_stats();
   return t;
 }
@@ -425,17 +387,10 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
   eopts.run = &c.rc;
   DecodeOptions dopts = cfg_.decode_opts;
   dopts.run = &c.rc;
-  // Cached-decode mode: the body is buffered and md5'd before any decode
-  // work, so a hit can skip the session entirely (ServiceConfig rationale).
-  const bool use_cache = !is_encode && decode_cache_ != nullptr;
-  CaptureSink capture(sink,
-                      use_cache ? decode_cache_->max_entry_bytes() : 0);
-  std::vector<std::uint8_t> whole_body;
-  // Exactly one of the two is used; both are cheap to construct.
+  // Exactly one of the two is used; both are cheap to construct. Each DATA
+  // frame is fed as it arrives, so a DECODE streams output before END.
   EncodeSession enc(eopts, &ctx_);
-  DecodeSession dec(use_cache ? static_cast<ByteSink&>(capture)
-                              : static_cast<ByteSink&>(sink),
-                    dopts, &ctx_);
+  DecodeSession dec(sink, dopts, &ctx_);
 
   // ---- body: DATA* then END ----
   // The whole body phase runs under an absolute wall budget: the request
@@ -507,15 +462,9 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
       }
     }
     body_bytes += fh.length;
-    if (use_cache) {
-      // Deferred decode: accumulate (bounded by max_body_bytes, already
-      // enforced above) and hash/decode after END.
-      whole_body.insert(whole_body.end(), buf.begin(), buf.end());
-    } else {
-      code = is_encode ? enc.feed({buf.data(), buf.size()})
-                       : dec.feed({buf.data(), buf.size()});
-      if (code != ExitCode::kSuccess) break;
-    }
+    code = is_encode ? enc.feed({buf.data(), buf.size()})
+                     : dec.feed({buf.data(), buf.size()});
+    if (code != ExitCode::kSuccess) break;
   }
 
   if (disconnected) {
@@ -530,29 +479,7 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
   }
 
   // ---- finish + trailer ----
-  if (code == ExitCode::kSuccess && use_cache) {
-    std::string md5 =
-        util::Md5::hex_digest({whole_body.data(), whole_body.size()});
-    if (storage::DecodeCache::Value v = decode_cache_->get(md5)) {
-      // Hit: the cached bytes ARE the decode (content-addressed by the
-      // container md5 — identical containers decode identically), so the
-      // session is never fed.
-      sink.append({v->data(), v->size()});
-    } else {
-      code = dec.feed({whole_body.data(), whole_body.size()});
-      if (code == ExitCode::kSuccess) {
-        code = dec.finish();
-      } else {
-        (void)dec.finish();
-      }
-      if (code == ExitCode::kSuccess && !capture.overflow() &&
-          !sink.broken()) {
-        decode_cache_->put(
-            md5, std::make_shared<const std::vector<std::uint8_t>>(
-                     capture.take()));
-      }
-    }
-  } else if (code == ExitCode::kSuccess) {
+  if (code == ExitCode::kSuccess) {
     code = is_encode ? enc.finish(sink) : dec.finish();
   } else if (!is_encode) {
     // The feed's sticky classification is the trailer code (probe/parse

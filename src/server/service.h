@@ -10,6 +10,12 @@
 //
 // The split is why cross-transport byte-identity holds by construction:
 // AF_UNIX and TCP connections execute the same serve_frame.
+//
+// Every ENCODE and DECODE has one path: each DATA frame is fed to the
+// request's session as it arrives, so a DECODE's output starts before END
+// (§3.4). The service keeps no decoded output between requests; the
+// content-addressed decode cache lives in the storage plane
+// (storage/decode_cache.h), which depends on this layer, never the reverse.
 #pragma once
 
 #include <atomic>
@@ -26,7 +32,6 @@
 #include "lepton/run_control.h"
 #include "lepton/store.h"
 #include "server/protocol.h"
-#include "storage/decode_cache.h"
 #include "util/stats.h"
 
 namespace lepton {
@@ -60,16 +65,6 @@ struct ServiceConfig {
 
   EncodeOptions encode_opts;
   DecodeOptions decode_opts;
-
-  // Decoded-output LRU for the DECODE path (storage/decode_cache.h), byte
-  // budget; 0 (default) disables it. When enabled the request body is
-  // buffered (already bounded by max_body_bytes) and md5'd before any
-  // decode work: a hit streams the cached original and skips the decode
-  // entirely; a miss decodes once and caches the output. The trade is
-  // explicit — misses lose the streamed-decode TTFB since decoding starts
-  // at END, wins come from Zipf-skewed read traffic (ISSUE 10). Counters
-  // surface as decode_cache_* STATS rows (leptonctl stats shows them).
-  std::size_t decode_cache_bytes = 0;
 
   // Plane-specific rows appended to the STATS response (worker counts,
   // open-connection counts — facts only the connection plane knows). Must
@@ -123,8 +118,6 @@ class RequestService {
 
   TransparentStore* store() { return store_; }
   const ServiceConfig& config() const { return cfg_; }
-  // Null unless cfg.decode_cache_bytes > 0.
-  storage::DecodeCache* decode_cache() { return decode_cache_.get(); }
 
   // Installs the owning plane's STATS rows (set once, before the plane
   // starts serving — the callback is invoked from request threads).
@@ -181,7 +174,6 @@ class RequestService {
   CodecContext& ctx_;
   std::unique_ptr<TransparentStore> own_store_;
   TransparentStore* store_ = nullptr;
-  std::unique_ptr<storage::DecodeCache> decode_cache_;
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> cancel_all_{false};

@@ -125,33 +125,14 @@ inline bool failpoint_read(ReadStatus* rs) {
   return true;
 }
 
-// Reads exactly `n` bytes. kEof only when the peer closed cleanly before
-// the first byte; a close partway through is kTruncated (the §6.2 short
-// read, at the frame layer).
-inline ReadStatus read_exact(int fd, std::uint8_t* out, std::size_t n) {
-  if (util::failpoint::armed()) {
-    ReadStatus rs;
-    if (!failpoint_read(&rs)) return rs;
-  }
-  std::size_t got = 0;
-  while (got < n) {
-    ssize_t r = ::recv(fd, out + got, n - got, 0);
-    if (r == 0) return got == 0 ? ReadStatus::kEof : ReadStatus::kTruncated;
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadStatus::kTimedOut;
-      return ReadStatus::kError;
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return ReadStatus::kOk;
-}
-
-// Deadline-bounded read_exact: re-arms SO_RCVTIMEO with the *remaining*
-// wall budget before every recv. Plain SO_RCVTIMEO alone bounds only
-// inactivity — a hostile client dribbling one byte per interval restarts
-// the idle window forever while holding an admission slot (slow loris);
-// the absolute deadline is what actually bounds the body phase.
+// Reads exactly `n` bytes by an absolute deadline. kEof only when the peer
+// closed cleanly before the first byte; a close partway through is
+// kTruncated (the §6.2 short read, at the frame layer). SO_RCVTIMEO is
+// re-armed with the *remaining* wall budget before every recv: plain
+// SO_RCVTIMEO alone bounds only inactivity — a hostile client dribbling one
+// byte per interval restarts the idle window forever while holding an
+// admission slot (slow loris); the absolute deadline is what actually
+// bounds the body phase.
 inline ReadStatus read_exact_deadline(
     int fd, std::uint8_t* out, std::size_t n,
     std::chrono::steady_clock::time_point deadline) {

@@ -1,7 +1,5 @@
 #include "storage/decode_cache.h"
 
-#include <cstdio>
-
 namespace lepton::storage {
 
 DecodeCache::DecodeCache(DecodeCacheConfig cfg) : cfg_(cfg) {
@@ -90,28 +88,6 @@ std::uint64_t DecodeCache::invalidate_all() {
 DecodeCacheStats DecodeCache::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
-}
-
-std::string DecodeCache::stats_text(std::string_view prefix) const {
-  DecodeCacheStats s = stats();
-  std::string p(prefix);
-  char buf[640];
-  std::snprintf(buf, sizeof(buf),
-                "%shits %llu\n%smisses %llu\n%sevictions %llu\n"
-                "%sinvalidations %llu\n%sinsertions %llu\n"
-                "%srejected_oversize %llu\n%sbytes %llu\n%sentries %llu\n"
-                "%sbudget_bytes %llu\n%shit_bytes_served %llu\n",
-                p.c_str(), static_cast<unsigned long long>(s.hits), p.c_str(),
-                static_cast<unsigned long long>(s.misses), p.c_str(),
-                static_cast<unsigned long long>(s.evictions), p.c_str(),
-                static_cast<unsigned long long>(s.invalidations), p.c_str(),
-                static_cast<unsigned long long>(s.insertions), p.c_str(),
-                static_cast<unsigned long long>(s.rejected_oversize), p.c_str(),
-                static_cast<unsigned long long>(s.bytes), p.c_str(),
-                static_cast<unsigned long long>(s.entries), p.c_str(),
-                static_cast<unsigned long long>(s.budget_bytes), p.c_str(),
-                static_cast<unsigned long long>(s.hit_bytes_served));
-  return buf;
 }
 
 }  // namespace lepton::storage

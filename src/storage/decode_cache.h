@@ -2,9 +2,9 @@
 //
 // Hot objects must not pay a full Lepton decode on every read (Xu et al.,
 // arXiv:1912.11145: photo reads are heavily Zipf-skewed), so the sharded
-// store — and optionally the serving daemon's DECODE path — keeps recently
-// decoded originals in memory, keyed by the *content md5* of the stored
-// payload.
+// store keeps recently decoded originals in memory, keyed by the *content
+// md5* of the stored payload. It is the system's one decoded-output cache:
+// the serving daemon keeps none, and every DECODE it serves streams.
 //
 // Coherence rule (DESIGN.md §"Sharded storage"): entries are keyed by
 // content address, and content-addressed bytes are immutable — a given md5
@@ -19,7 +19,8 @@
 // bytes alive even if the entry is evicted mid-read, so eviction needs no
 // reader coordination. Counters reconcile by construction:
 // hits + misses == gets, entries/bytes never exceed the budget after any
-// call returns.
+// call returns. They are reported through stats() (ShardedStore::stats()
+// carries them as `cache`).
 #pragma once
 
 #include <cstdint>
@@ -76,10 +77,6 @@ class DecodeCache {
   std::uint64_t invalidate_all();
 
   DecodeCacheStats stats() const;
-  // STATS-style "key value\n" rows, each prefixed (default "decode_cache_")
-  // — the serving daemon splices these into its STATS body so leptonctl
-  // surfaces them verbatim.
-  std::string stats_text(std::string_view prefix = "decode_cache_") const;
 
   std::size_t budget_bytes() const { return cfg_.budget_bytes; }
   std::size_t max_entry_bytes() const { return cfg_.max_entry_bytes; }

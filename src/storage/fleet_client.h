@@ -82,8 +82,10 @@ struct RequeueMetrics {
   std::uint64_t passthrough_fallbacks = 0;  // puts degraded to pass-through
   util::CodeTally first_attempt_codes;   // §6.2 tally of attempt #1
   util::CodeTally final_codes;           // §6.2 tally after requeueing
-  util::Percentiles ttfb_s;
-  util::Percentiles latency_s;           // end-to-end, retries included
+  // Bounded reservoirs, as in ServerStats: a client lives as long as its
+  // ShardedStore shard, and metrics() copies these under the routing mutex.
+  util::ReservoirPercentiles ttfb_s;
+  util::ReservoirPercentiles latency_s;  // end-to-end, retries included
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
 };

@@ -1,6 +1,5 @@
 #include "storage/sharded_store.h"
 
-#include <cstdio>
 #include <utility>
 
 namespace lepton::storage {
@@ -409,47 +408,6 @@ ShardedStoreStats ShardedStore::stats() const {
   }
   if (cache_ != nullptr) out.cache = cache_->stats();
   return out;
-}
-
-std::string ShardedStore::stats_text() const {
-  ShardedStoreStats s = stats();
-  std::string t;
-  char buf[256];
-  auto kv = [&](const char* k, std::uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "sharded_%s %llu\n", k,
-                  static_cast<unsigned long long>(v));
-    t += buf;
-  };
-  std::uint64_t alive = 0;
-  for (const auto& h : s.shards) alive += h.alive ? 1 : 0;
-  kv("shards", s.shards.size());
-  kv("shards_alive", alive);
-  kv("puts", s.puts);
-  kv("puts_acknowledged", s.puts_acknowledged);
-  kv("puts_failed", s.puts_failed);
-  kv("puts_unavailable", s.puts_unavailable);
-  kv("gets", s.gets);
-  kv("gets_not_found", s.gets_not_found);
-  kv("gets_failed", s.gets_failed);
-  kv("gets_unavailable", s.gets_unavailable);
-  kv("cache_hits", s.cache_hits);
-  kv("remote_conversions", s.remote_conversions);
-  kv("passthrough_fallbacks", s.passthrough_fallbacks);
-  kv("migrated_objects", s.migrated_objects);
-  kv("migrate_read_errors", s.migrate_read_errors);
-  kv("shard_kills", s.shard_kills);
-  kv("shard_restarts", s.shard_restarts);
-  kv("shutoff_drills", s.shutoff_drills);
-  for (std::size_t i = 0; i < s.shards.size(); ++i) {
-    const auto& h = s.shards[i];
-    std::snprintf(buf, sizeof(buf),
-                  "shard%zu_name %s\nshard%zu_alive %d\nshard%zu_keys %llu\n",
-                  i, h.name.c_str(), i, h.alive ? 1 : 0, i,
-                  static_cast<unsigned long long>(h.keys));
-    t += buf;
-  }
-  if (cache_ != nullptr) t += cache_->stats_text();
-  return t;
 }
 
 }  // namespace lepton::storage

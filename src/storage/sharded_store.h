@@ -174,8 +174,6 @@ class ShardedStore {
   void stop_scrubbers();
 
   ShardedStoreStats stats() const;
-  // STATS-style "key value\n" rows (sharded_* + decode_cache_*).
-  std::string stats_text() const;
 
   DecodeCache* cache() { return cache_.get(); }
 

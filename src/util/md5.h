@@ -1,8 +1,8 @@
 // MD5 (RFC 1321). Production Lepton md5sums the compressed file before the
 // round-trip test so in-memory corruption between check and admit is caught
 // (§5.7). Used here by the TransparentStore admit path, every DurableStore
-// read and its recovery sweep, leptond's decode-cache key, and the safety
-// tests. Not for security; for integrity-of-buffer checks exactly as
+// read and its recovery sweep, the sharded store's decode-cache key, and
+// the safety tests. Not for security; for integrity-of-buffer checks exactly as
 // deployed.
 #pragma once
 

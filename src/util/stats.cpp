@@ -4,14 +4,6 @@
 
 namespace lepton::util {
 
-std::string format_percentiles(const Percentiles& p) {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "p50=%.3f p75=%.3f p95=%.3f p99=%.3f",
-                p.percentile(50), p.percentile(75), p.percentile(95),
-                p.percentile(99));
-  return buf;
-}
-
 std::string format_code_tally(const CodeTally& t,
                               std::string (*name)(unsigned code)) {
   std::string out;

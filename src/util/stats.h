@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -192,8 +193,16 @@ class CodeTally {
   std::uint64_t total_ = 0;
 };
 
-// Formats "p50/p75/p95/p99" rows the way the paper's figures label them.
-std::string format_percentiles(const Percentiles& p);
+// Formats "p50/p75/p95/p99" rows the way the paper's figures label them,
+// for a Percentiles or a ReservoirPercentiles.
+template <class P>
+std::string format_percentiles(const P& p) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "p50=%.3f p75=%.3f p95=%.3f p99=%.3f",
+                p.percentile(50), p.percentile(75), p.percentile(95),
+                p.percentile(99));
+  return buf;
+}
 
 // Formats a CodeTally's nonzero rows as "Name=count" pairs using `name`
 // (pass util::exit_code_name via a lambda for §6.2 codes).

@@ -205,15 +205,19 @@ TEST_F(FaultTest, SockReadErrAndShortClassify) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   std::uint8_t b = 7;
   ASSERT_EQ(::send(sv[0], &b, 1, 0), 1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto read1 = [&](std::uint8_t* out) {
+    return lepton::server::read_exact_deadline(sv[1], out, 1, deadline);
+  };
   ASSERT_TRUE(fp::arm("sock.read=err:ETIMEDOUT@once"));
   std::uint8_t out;
-  EXPECT_EQ(lepton::server::read_exact(sv[1], &out, 1), ReadStatus::kError);
+  EXPECT_EQ(read1(&out), ReadStatus::kError);
   // Spent: the byte is still in the socket and now reads normally.
-  EXPECT_EQ(lepton::server::read_exact(sv[1], &out, 1), ReadStatus::kOk);
+  EXPECT_EQ(read1(&out), ReadStatus::kOk);
   EXPECT_EQ(out, 7);
   ASSERT_TRUE(fp::arm("sock.read=short"));
-  EXPECT_EQ(lepton::server::read_exact(sv[1], &out, 1),
-            ReadStatus::kTruncated);
+  EXPECT_EQ(read1(&out), ReadStatus::kTruncated);
   ::close(sv[0]);
   ::close(sv[1]);
 }
@@ -353,6 +357,28 @@ TEST_F(FaultTest, BackoffScheduleReplaysFromTheClientSeed) {
   };
   ASSERT_TRUE(fp::arm("fleet.connect=err:ECONNREFUSED"));
   EXPECT_EQ(run(), run());
+}
+
+TEST_F(FaultTest, LatencySamplesStayBoundedOverALongLivedClient) {
+  // A FleetClient lives as long as its ShardedStore shard: its latency
+  // series must not keep every sample. One refused attempt opens the
+  // breaker, so the rest fast-fail and 10k conversions cost next to
+  // nothing; each one still records a latency sample.
+  FleetClientConfig cfg = client_cfg("tcp:127.0.0.1:1");  // nothing listens
+  cfg.breaker_threshold = 1;
+  cfg.max_attempts = 1;
+  cfg.breaker_cooldown = std::chrono::milliseconds(60000);
+  FleetClient fc(cfg);
+  std::vector<std::uint8_t> body{1};
+  constexpr std::uint64_t kCalls = 10000;
+  for (std::uint64_t i = 0; i < kCalls; ++i) {
+    (void)fc.convert(FleetOp::kEncode, body);
+  }
+  auto m = fc.metrics();
+  EXPECT_EQ(m.requests, kCalls);
+  EXPECT_EQ(m.latency_s.count(), kCalls);
+  EXPECT_LE(m.latency_s.reservoir_size(), 4096u);
+  EXPECT_EQ(m.ttfb_s.count(), 0u);  // TTFB is only sampled on success
 }
 
 // ---- least-in-flight routing ------------------------------------------------

@@ -16,7 +16,6 @@
 #include "jpeg/stuffed_bitio.h"
 #include "lepton/format.h"
 #include "lepton/lepton.h"
-#include "lepton/plan.h"
 #include "util/bitio.h"
 #include "util/rng.h"
 #include "util/tracked_memory.h"
@@ -372,10 +371,11 @@ TEST(DecodeStats, CleanDecodeConsumesPayloadExactly) {
 
 TEST(DecodeStats, TruncatedStreamReportsOverrun) {
   // A structurally valid container whose *content* is short: the segment
-  // keeps only a sliver of its arithmetic stream, so its BoolDecoder
-  // certainly reads past the end within the first rows (a gentle chop can
-  // decode to garbage that still classifies before the window drains). The
-  // overrun must reach DecodeStats even though the decode fails.
+  // keeps only a sliver of its arithmetic stream (re-serialized, so the
+  // header declares the short length), and its BoolDecoder certainly reads
+  // past the end within the first rows (a gentle chop can decode to garbage
+  // that still classifies before the window drains). The overrun must
+  // reach DecodeStats even though the decode fails.
   auto file = corpus_jpeg(40, 32);
   lepton::EncodeOptions opt;
   opt.force_threads = 1;
@@ -386,14 +386,11 @@ TEST(DecodeStats, TruncatedStreamReportsOverrun) {
   constexpr std::size_t kKeep = 16;
   ASSERT_GT(pc.arith[0].size(), kKeep);
   pc.arith[0].resize(kKeep);
+  auto truncated = lepton::core::serialize_container(pc.header, pc.arith);
   lepton::VectorSink sink;
   lepton::DecodeStats stats;
-  try {
-    lepton::core::decode_container(pc, sink, {}, lepton::default_context(),
-                                   &stats);
-  } catch (const jf::ParseError&) {
-    // a classified failure is the expected outcome
-  }
+  (void)lepton::decode_lepton({truncated.data(), truncated.size()}, sink, {},
+                              lepton::default_context(), &stats);
   EXPECT_TRUE(stats.payload_overrun);
   EXPECT_FALSE(stats.payload_exhausted);
 }

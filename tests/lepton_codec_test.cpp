@@ -11,6 +11,7 @@
 
 #include "corpus/corpus.h"
 #include "jpeg/jfif_builder.h"
+#include "lepton/format.h"
 #include "lepton/lepton.h"
 #include "util/rng.h"
 
@@ -356,7 +357,10 @@ TEST(TransparentStore, AdmitsJpegAsLepton) {
   lepton::PutStats stats;
   auto obj = store.put({file.data(), file.size()}, &stats);
   EXPECT_EQ(obj.kind, lepton::StorageKind::kLepton);
+  EXPECT_EQ(stats.lepton_code, ExitCode::kSuccess);
   EXPECT_TRUE(stats.roundtrip_ok);
+  EXPECT_EQ(stats.bytes_in, file.size());
+  EXPECT_EQ(stats.bytes_out, obj.payload.size());
   EXPECT_LT(stats.bytes_out, stats.bytes_in);
   auto back = store.get(obj);
   ASSERT_TRUE(back.ok());
@@ -373,6 +377,9 @@ TEST(TransparentStore, FallsBackToDeflateForNonJpeg) {
   auto obj = store.put({text.data(), text.size()}, &stats);
   EXPECT_EQ(obj.kind, lepton::StorageKind::kDeflate);
   EXPECT_EQ(stats.lepton_code, ExitCode::kNotAnImage);
+  EXPECT_FALSE(stats.roundtrip_ok);
+  EXPECT_EQ(stats.bytes_in, text.size());
+  EXPECT_EQ(stats.bytes_out, obj.payload.size());
   auto back = store.get(obj);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.data, text);
@@ -396,6 +403,43 @@ TEST(TransparentStore, DetectsPayloadCorruption) {
   obj.payload[obj.payload.size() / 2] ^= 0xFF;
   auto back = store.get(obj);
   EXPECT_FALSE(back.ok()) << "md5 gate must catch modified payloads (§5.7)";
+}
+
+TEST(TransparentStore, GateRejectsUnconsumedPayloadThatDecodesExactly) {
+  // Bytes appended to a segment's arithmetic stream (and declared in the
+  // header) leave the decoded output untouched, so only the consumption
+  // facts tell this container from a clean one. The §5.7 gate that put(),
+  // admit_converted() and qualification share must reject it.
+  auto file = make_jpeg(128, 96, 58);
+  lepton::EncodeOptions opt;
+  opt.force_threads = 1;
+  auto enc = lepton::encode_jpeg({file.data(), file.size()}, opt);
+  ASSERT_TRUE(enc.ok());
+  ASSERT_EQ(lepton::roundtrip_gate(file, enc.data), ExitCode::kSuccess);
+  lepton::TransparentStore store;
+  for (std::size_t extra : {1u, 16u}) {
+    auto pc = lepton::core::parse_container({enc.data.data(), enc.data.size()});
+    pc.arith[0].insert(pc.arith[0].end(), extra, 0xA5);
+    auto padded = lepton::core::serialize_container(pc.header, pc.arith);
+
+    lepton::VectorSink sink;
+    lepton::DecodeStats stats;
+    ASSERT_EQ(lepton::decode_lepton({padded.data(), padded.size()}, sink, {},
+                                    lepton::default_context(), &stats),
+              ExitCode::kSuccess)
+        << extra;
+    EXPECT_EQ(sink.data, file) << extra;
+    EXPECT_FALSE(stats.payload_exhausted) << extra;
+
+    EXPECT_EQ(lepton::roundtrip_gate(file, padded),
+              ExitCode::kRoundtripFailed)
+        << extra;
+    lepton::StoredObject obj;
+    lepton::PutStats ps;
+    EXPECT_FALSE(store.admit_converted(file, padded, &obj, &ps)) << extra;
+    EXPECT_EQ(ps.lepton_code, ExitCode::kRoundtripFailed) << extra;
+    EXPECT_FALSE(ps.roundtrip_ok) << extra;
+  }
 }
 
 // ---- Qualification ---------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -28,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "corpus/corpus.h"
+#include "lepton/format.h"
 #include "lepton/lepton.h"
 #include "leptond/config.h"
 #include "leptond/event_server.h"
@@ -238,6 +240,28 @@ TEST(DaemonConfig, FlagsAndConfigFileCompose) {
   EXPECT_NE(err.find("line 1"), std::string::npos) << err;
 }
 
+// The daemon keeps no decoded-output cache (every DECODE streams; the
+// content-addressed cache lives in the storage plane), so a stale config
+// that still sizes one must fail loudly rather than be ignored.
+TEST(DaemonConfig, RetiredDecodeCacheOptionIsRejected) {
+  namespace ld = lepton::leptond;
+  ld::DaemonConfig cfg;
+  std::string err;
+  bool help = false;
+  EXPECT_FALSE(ld::parse_args({"--decode-cache-mb", "4"}, &cfg, &err, &help));
+  EXPECT_NE(err.find("unknown option 'decode-cache-mb'"), std::string::npos)
+      << err;
+
+  cfg = {};
+  err.clear();
+  EXPECT_FALSE(ld::parse_config_text("decode-cache-mb 4\n", &cfg, &err));
+  EXPECT_NE(err.find("line 1: unknown option 'decode-cache-mb'"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(ld::usage_text().find("cache"), std::string::npos)
+      << ld::usage_text();
+}
+
 // Regression: a daemon killed uncleanly (SIGKILL/OOM) leaves its pidfile
 // behind; the replacement must reclaim it. Refusal is reserved for a file
 // whose recorded owner is actually alive.
@@ -390,6 +414,90 @@ TEST(LeptondTest, TcpRoundTripByteIdenticalAcrossTransports) {
   unix_srv.stop();
   tcp_srv.stop();
   EXPECT_FALSE(tcp_srv.running());
+}
+
+// Every DECODE streams (§3.4): the service feeds each DATA frame to the
+// session as it arrives, so output leaves the daemon before the body ends.
+// The client holds back the container's last 4 KiB and END until a
+// response DATA frame has arrived, then completes the request.
+TEST(LeptondTest, DecodeStreamsOutputBeforeEnd) {
+  lepton::CodecContext ctx(4);
+  EventServer srv = make_tcp_server(&ctx);
+  ASSERT_TRUE(srv.start()) << srv.last_error();
+
+  auto jpeg = lepton::corpus::jpeg_of_size(96 << 10, 1018);
+  lepton::EncodeOptions eopt;
+  eopt.force_threads = 4;
+  auto enc = lepton::encode_jpeg({jpeg.data(), jpeg.size()}, eopt);
+  ASSERT_TRUE(enc.ok()) << enc.message;
+  ASSERT_EQ(lepton::core::parse_container({enc.data.data(), enc.data.size()})
+                .header.segments.size(),
+            4u);
+  constexpr std::size_t kHeldBack = 4096;
+  ASSERT_GT(enc.data.size(), 2 * kHeldBack);
+
+  int fd = raw_tcp_connect(srv.bound_address());
+  ASSERT_GE(fd, 0);
+  raw_open_frame(fd, FrameType::kDecode);
+  // The response is read on its own thread, so neither side ever blocks on
+  // a full socket buffer while the other is writing.
+  std::atomic<bool> saw_data{false};
+  std::vector<std::uint8_t> out;
+  lepton::server::TrailerPayload trailer;
+  bool got_trailer = false;
+  std::thread reader([&] {
+    for (;;) {
+      std::uint8_t hdr[lepton::server::kFrameHeaderSize];
+      lepton::server::FrameHeader fh;
+      if (!raw_read_exact(fd, hdr, sizeof hdr) ||
+          !lepton::server::parse_frame_header(hdr, &fh)) {
+        return;
+      }
+      std::vector<std::uint8_t> payload(fh.length);
+      if (fh.length > 0 && !raw_read_exact(fd, payload.data(), fh.length)) {
+        return;
+      }
+      if (fh.type == FrameType::kTrailer) {
+        got_trailer = lepton::server::parse_trailer_payload(
+            payload.data(), payload.size(), &trailer);
+        return;
+      }
+      if (fh.type != FrameType::kData) return;
+      out.insert(out.end(), payload.begin(), payload.end());
+      saw_data.store(true);
+    }
+  });
+
+  auto send_data = [&](std::size_t off, std::size_t n) {
+    std::uint8_t hdr[lepton::server::kFrameHeaderSize];
+    lepton::server::write_frame_header(
+        hdr, {FrameType::kData, 0, static_cast<std::uint32_t>(n)});
+    return raw_send(fd, hdr, sizeof hdr) &&
+           raw_send(fd, enc.data.data() + off, n);
+  };
+  const std::size_t early = enc.data.size() - kHeldBack;
+  constexpr std::size_t kSlice = 8192;
+  bool sent = true;
+  for (std::size_t off = 0; sent && off < early; off += kSlice) {
+    sent = send_data(off, std::min(kSlice, early - off));
+  }
+  EXPECT_TRUE(sent);
+  EXPECT_TRUE(eventually([&] { return saw_data.load(); }, 10))
+      << "no response DATA before the body ended";
+
+  std::uint8_t end[lepton::server::kFrameHeaderSize];
+  lepton::server::write_frame_header(end, {FrameType::kEnd, 0, 0});
+  sent = sent && send_data(early, kHeldBack) && raw_send(fd, end, sizeof end);
+  EXPECT_TRUE(sent);
+  if (!sent) ::shutdown(fd, SHUT_RDWR);  // unblock the reader
+  reader.join();
+  ::close(fd);
+
+  ASSERT_TRUE(got_trailer);
+  EXPECT_EQ(trailer.exit_code, static_cast<std::uint8_t>(ExitCode::kSuccess));
+  EXPECT_EQ(trailer.bytes_in, enc.data.size());
+  EXPECT_EQ(out, jpeg) << "streamed DECODE must be byte-identical";
+  srv.stop();
 }
 
 // ---- connection scaling (the event plane's reason to exist) -----------------

@@ -18,8 +18,6 @@
 #include <vector>
 
 #include "corpus/corpus.h"
-#include "leptond/event_server.h"
-#include "server/client.h"
 #include "storage/decode_cache.h"
 #include "storage/durable_store.h"
 #include "storage/hash_ring.h"
@@ -628,37 +626,6 @@ TEST(ShardedStore, ShutoffDrillClearsCacheAndForcesDeflate) {
   ASSERT_TRUE(ps.durable.acknowledged);
   EXPECT_NE(ps.durable.kind, lepton::StorageKind::kDeflate)
       << "codec switch stuck after the drill cleared";
-}
-
-// ---- decode cache: the serving daemon's DECODE path -------------------------
-
-TEST(ShardedServiceCache, ServerCacheServesByteIdenticalHitsAndCountsThem) {
-  lepton::leptond::EventServerConfig cfg;
-  cfg.listen = "unix:/tmp/lepton_shardedtest_" + std::to_string(::getpid()) +
-               ".sock";
-  cfg.service.decode_cache_bytes = 4 << 20;
-  lepton::leptond::EventServer srv(std::move(cfg));
-  ASSERT_TRUE(srv.start()) << srv.last_error();
-
-  auto jpeg = lepton::corpus::jpeg_of_size(40 << 10, 1017);
-  auto cli = lepton::server::LeptonClient::connect(srv.bound_address());
-  ASSERT_TRUE(cli.ok()) << cli.message();
-  auto enc = cli.encode({jpeg.data(), jpeg.size()});
-  ASSERT_TRUE(enc.ok()) << enc.message;
-
-  auto miss = cli.decode({enc.data.data(), enc.data.size()});
-  ASSERT_TRUE(miss.ok()) << miss.message;
-  EXPECT_EQ(miss.data, jpeg);
-  auto hit = cli.decode({enc.data.data(), enc.data.size()});
-  ASSERT_TRUE(hit.ok()) << hit.message;
-  EXPECT_EQ(hit.data, jpeg) << "cached DECODE served different bytes";
-
-  auto stats = cli.stats();
-  ASSERT_TRUE(stats.ok()) << stats.message;
-  std::string text(stats.data.begin(), stats.data.end());
-  EXPECT_NE(text.find("decode_cache_hits 1"), std::string::npos) << text;
-  EXPECT_NE(text.find("decode_cache_misses 1"), std::string::npos) << text;
-  srv.stop();
 }
 
 // ---- replay generator sanity -----------------------------------------------

@@ -1,7 +1,6 @@
 // Unit tests for the foundation module: bit I/O (including handover resume),
 // serialization, statistics, MD5 vectors and the loop-form oracle, tracked
-// memory, the arena budget discipline, RNG determinism, the bounded
-// parallel-for, and whole-file reads.
+// memory, RNG determinism, the bounded parallel-for, and whole-file reads.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,7 +11,6 @@
 #include <thread>
 
 #include "md5_reference.h"
-#include "util/arena.h"
 #include "util/bitio.h"
 #include "util/exit_codes.h"
 #include "util/fileio.h"
@@ -195,27 +193,6 @@ TEST(TrackedMemory, GaugeSeesPeak) {
     big[0] = 1;
   }
   EXPECT_GE(g.peak_bytes(), 1u << 20);
-}
-
-TEST(Arena, BudgetEnforcedAndZeroed) {
-  lu::Arena a(1024);
-  auto* p = a.alloc_array<std::uint8_t>(1000);
-  ASSERT_NE(p, nullptr);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(p[i], 0);
-  p[0] = 42;
-  // Over budget: must fail cleanly, not grow.
-  EXPECT_EQ(a.alloc(100), nullptr);
-  a.reset();
-  auto* q = a.alloc_array<std::uint8_t>(8);
-  ASSERT_NE(q, nullptr);
-  EXPECT_EQ(q[0], 0) << "arena memory must be re-zeroed on reset (§5.2)";
-}
-
-TEST(Arena, AlignmentRespected) {
-  lu::Arena a(4096);
-  a.alloc(3, 1);
-  void* p = a.alloc(16, 64);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
