@@ -271,7 +271,6 @@ int main(int argc, char** argv) {
     fc.retry_deadline = std::chrono::milliseconds(0);   // patient retry
     fc.max_attempts = 2;
     fc.backoff_base = std::chrono::milliseconds(0);
-    fc.least_in_flight = false;  // uniform, like the load balancers
     lepton::storage::FleetClient fleet(fc);
 
     const int kThreads = full ? 8 : 4;

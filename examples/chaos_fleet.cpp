@@ -3,11 +3,12 @@
 //   ./chaos_fleet [--seed N] [--seconds N]
 //
 // Three event-plane daemons come up on local TCP ports and a FleetClient
-// (breakers + backoff + background prober + least-in-flight routing) puts
-// a deterministic corpus through them while a chaos thread misbehaves:
+// (breakers + backoff + least-in-flight routing) puts a deterministic
+// corpus through them while a chaos thread misbehaves:
 //
 //   * daemons are hard-killed (shutdown_now: in-flight requests trail as
-//     kServerShutdown) and restarted on their original ports;
+//     kServerShutdown) and restarted on their original ports, each restart
+//     followed by a probe_now() pass beside the traffic;
 //   * a failpoint schedule (util/failpoint.h), seeded from --seed, injects
 //     refused connects, short writes that kill frames mid-flight, and slow
 //     encodes — the per-site fault sequences replay exactly from the seed;
@@ -96,7 +97,6 @@ std::unique_ptr<EventServer> start_daemon(const std::string& listen,
   fc.breaker_cooldown = std::chrono::milliseconds(100);
   fc.seed = seed;
   FleetClient fleet(fc);
-  fleet.start();
 
   lepton::storage::DurableStoreConfig dc;
   dc.root = root;
@@ -278,11 +278,8 @@ int main(int argc, char** argv) {
   cfg.backoff_cap = std::chrono::milliseconds(100);
   cfg.breaker_threshold = 3;
   cfg.breaker_cooldown = std::chrono::milliseconds(150);
-  cfg.background_probe = true;
-  cfg.probe_interval = std::chrono::milliseconds(100);
   cfg.seed = seed;
   FleetClient fleet(cfg);
-  fleet.start();
 
   lepton::TransparentStore store;
   const auto deadline =
@@ -333,6 +330,9 @@ int main(int argc, char** argv) {
         std::lock_guard<std::mutex> lk(fleet_mu);
         daemons[victim] = start_daemon(endpoints[victim], &ctx);
       }
+      // Re-probe beside the traffic: a restarted daemon whose breaker is
+      // due closes it on this PING instead of on a request.
+      fleet.probe_now();
       if (!squeezed && round == 1) {
         squeezed = true;
         rlimit old{};
@@ -350,7 +350,6 @@ int main(int argc, char** argv) {
   t2.join();
   chaos.join();
   lepton::util::failpoint::disarm();
-  fleet.stop();
 
   auto m = fleet.metrics();
   auto health = fleet.endpoints();

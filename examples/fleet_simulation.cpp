@@ -112,7 +112,6 @@ int act2_real_requeue() {
   fc.retry_deadline = std::chrono::milliseconds(0);   // requeue is patient
   fc.max_attempts = 2;
   fc.backoff_base = std::chrono::milliseconds(0);
-  fc.least_in_flight = false;  // uniform, like the load balancers (§5.5)
   FleetClient fleet(fc);
   std::vector<RequestTrace> traces;
   for (const auto& f : files) {

@@ -94,9 +94,6 @@ class StuffedBitReader {
   bool byte_aligned() const { return consumed_ % 8 == 0; }
   int bits_into_byte() const { return static_cast<int>(consumed_ % 8); }
 
-  // After all entropy data is consumed, true iff every scan byte was used.
-  bool fully_consumed() const { return wbits_ == 0 && pos_ >= d_.size(); }
-
   // If the next bytes are an RST marker with the expected index, consume it
   // and return true. Requires an empty bit window (callers consume padding
   // first), so consumed_ == 8 * n_loaded_ and pos() already reports the

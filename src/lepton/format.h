@@ -120,8 +120,6 @@ class ContainerParser {
   // True once every segment's declared arithmetic bytes have arrived.
   bool complete() const { return state_ == State::kComplete; }
 
-  // Per-segment stream progress (valid once header_ready()).
-  std::size_t segment_count() const { return header_.segments.size(); }
   // Segments whose streams are complete, in the order they completed: a
   // streaming decoder can start each one as soon as it appears here, and
   // its stream never changes again.

@@ -43,10 +43,6 @@ class RunControl {
   }
 
   // ---- worker side -------------------------------------------------------
-  bool cancel_requested() const {
-    return cancel_.load(std::memory_order_relaxed);
-  }
-
   // True once cancelled or past the deadline. The common case (no deadline,
   // not cancelled) is two relaxed loads and no clock read, so polling every
   // MCU row costs nothing measurable.

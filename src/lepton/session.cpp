@@ -145,10 +145,6 @@ ExitCode EncodeSession::fail(ExitCode code, std::string msg) {
   return code;
 }
 
-bool EncodeSession::header_seen() const {
-  return probe_.status() == jpegfmt::HeaderProbeStatus::kComplete;
-}
-
 ExitCode EncodeSession::feed(std::span<const std::uint8_t> bytes) {
   if (error_ != ExitCode::kSuccess) return error_;
   // Rejected without touching the sticky state (see DecodeSession::feed).

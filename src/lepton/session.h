@@ -99,13 +99,8 @@ class DecodeSession {
   // (optional) receives payload-consumption facts.
   util::ExitCode finish(DecodeStats* stats = nullptr);
 
-  // True once finish() has run (successfully or not).
-  bool finished() const { return finished_; }
-
-  // Progress visibility for pacing layers. segments_decoded() counts the
-  // segments handed to the pool mid-stream (their decode may still run).
-  bool header_ready() const { return validated_; }
-  std::uint64_t bytes_fed() const { return parser_.bytes_consumed(); }
+  // Segments handed to the pool mid-stream (their decode may still run):
+  // how far a streamed decode got before finish().
   std::size_t segments_decoded() const { return started_; }
 
   const std::string& message() const { return message_; }
@@ -169,15 +164,6 @@ class EncodeSession {
   // range of the input, appended to `*chunks`. Same classification rules.
   util::ExitCode finish_chunks(std::size_t chunk_size,
                                std::vector<std::vector<std::uint8_t>>* chunks);
-
-  bool finished() const { return finished_; }
-  std::uint64_t bytes_fed() const {
-    return buffer_.size() + deferred_.size();
-  }
-
-  // True once the probe has seen a complete, plausible JPEG header (the
-  // file may still be rejected by the full parse at finish()).
-  bool header_seen() const;
 
   const std::string& message() const { return message_; }
 

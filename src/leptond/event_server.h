@@ -97,7 +97,6 @@ class EventServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
   const std::string& bound_address() const { return bound_; }
   const std::string& last_error() const { return error_; }
-  int worker_count() const { return cfg_.workers; }
 
   server::ServerStats stats() const { return service_.stats(); }
   server::RequestService& service() { return service_; }

@@ -144,20 +144,6 @@ int cmd_selftest(const std::string& endpoint) {
   return 0;
 }
 
-// Pulls one "key value" row out of STATS text; empty when absent.
-std::string stats_value(const std::vector<std::uint8_t>& text,
-                        const std::string& key) {
-  std::istringstream in(std::string(text.begin(), text.end()));
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.size() > key.size() + 1 && line.compare(0, key.size(), key) == 0 &&
-        line[key.size()] == ' ') {
-      return line.substr(key.size() + 1);
-    }
-  }
-  return "";
-}
-
 // Fleet health sweep: `leptonctl health EP [EP...]`. Three verdicts —
 //   healthy   ping answers, kill-switch clear, STATS served
 //   degraded  alive on the wire but impaired (shutoff engaged, or a
@@ -183,7 +169,8 @@ int cmd_health(const std::vector<std::string>& endpoints) {
     }
     RequestResult stats = cli.stats();
     std::string in_flight =
-        stats.ok() ? stats_value(stats.data, "in_flight") : "";
+        stats.ok() ? lepton::server::stats_value(stats.data, "in_flight")
+                   : "";
     const char* state = "healthy";
     std::string detail = "shutoff clear";
     if (ping.shutoff_engaged) {

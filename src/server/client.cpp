@@ -1,6 +1,5 @@
 #include "server/client.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -10,6 +9,7 @@
 #include <cstring>
 
 #include "server/endpoint.h"
+#include "server/sockio.h"
 
 namespace lepton::server {
 namespace {
@@ -18,12 +18,6 @@ using util::ExitCode;
 
 std::string errno_message(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
-}
-
-void set_nonblocking(int fd, bool on) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return;
-  ::fcntl(fd, F_SETFL, on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK));
 }
 
 void append_frame(std::vector<std::uint8_t>& out, FrameType type,
@@ -36,6 +30,20 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType type,
 }
 
 }  // namespace
+
+std::string stats_value(std::span<const std::uint8_t> text,
+                        std::string_view key) {
+  std::string_view s(reinterpret_cast<const char*>(text.data()), text.size());
+  while (!s.empty()) {
+    const std::string_view line = s.substr(0, s.find('\n'));
+    s.remove_prefix(std::min(s.size(), line.size() + 1));
+    if (line.size() > key.size() + 1 && line.starts_with(key) &&
+        line[key.size()] == ' ') {
+      return std::string(line.substr(key.size() + 1));
+    }
+  }
+  return "";
+}
 
 LeptonClient LeptonClient::connect(const std::string& endpoint) {
   LeptonClient c;

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "server/protocol.h"
@@ -61,6 +62,12 @@ struct RequestResult {
 
   bool ok() const { return transport_ok && code == util::ExitCode::kSuccess; }
 };
+
+// The value of one "key value" row of a STATS body (docs/PROTOCOL.md
+// §"STATS"); empty when the row is absent. The key matches a whole token,
+// so "in_flight" never reads the "in_flight_peak" row.
+std::string stats_value(std::span<const std::uint8_t> text,
+                        std::string_view key);
 
 class LeptonClient {
  public:

@@ -135,11 +135,6 @@ void RequestService::begin_drain() {
   slot_cv_.notify_all();
 }
 
-void RequestService::wait_idle() {
-  std::unique_lock<std::mutex> lk(mu_);
-  slot_cv_.wait(lk, [&] { return stats_.in_flight == 0; });
-}
-
 void RequestService::cancel_all() {
   cancel_all_.store(true, std::memory_order_release);
 }
@@ -229,7 +224,7 @@ std::string RequestService::stats_text() {
               static_cast<std::uint64_t>(util::failpoint::report().size()));
     t += util::failpoint::stats_text();
   }
-  if (cfg_.extra_stats) t += cfg_.extra_stats();
+  if (extra_stats_) t += extra_stats_();
   return t;
 }
 
@@ -383,9 +378,9 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
   }
 
   SocketSink sink(c.fd, &c.rc);
-  EncodeOptions eopts = cfg_.encode_opts;
+  EncodeOptions eopts;
   eopts.run = &c.rc;
-  DecodeOptions dopts = cfg_.decode_opts;
+  DecodeOptions dopts;
   dopts.run = &c.rc;
   // Exactly one of the two is used; both are cheap to construct. Each DATA
   // frame is fed as it arrives, so a DECODE streams output before END.

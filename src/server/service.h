@@ -62,14 +62,6 @@ struct ServiceConfig {
   // Kill-switch authority (§5.7); when null the service owns a private
   // TransparentStore so the switch still works per-process.
   TransparentStore* store = nullptr;
-
-  EncodeOptions encode_opts;
-  DecodeOptions decode_opts;
-
-  // Plane-specific rows appended to the STATS response (worker counts,
-  // open-connection counts — facts only the connection plane knows). Must
-  // return "key value\n" lines; called outside the stats mutex.
-  std::function<std::string()> extra_stats;
 };
 
 // A point-in-time copy of the service's counters (taken under the stats
@@ -119,10 +111,12 @@ class RequestService {
   TransparentStore* store() { return store_; }
   const ServiceConfig& config() const { return cfg_; }
 
-  // Installs the owning plane's STATS rows (set once, before the plane
-  // starts serving — the callback is invoked from request threads).
+  // Installs the owning plane's STATS rows: facts only the connection
+  // plane knows (worker and open-connection counts), as "key value\n"
+  // lines. Set once, before the plane starts serving; the callback runs
+  // on request threads, outside the stats mutex.
   void set_extra_stats(std::function<std::string()> fn) {
-    cfg_.extra_stats = std::move(fn);
+    extra_stats_ = std::move(fn);
   }
 
   // ---- lifecycle (driven by the owning plane) ----
@@ -131,14 +125,9 @@ class RequestService {
   // Starts the graceful drain: slot waiters wake and are answered
   // kServerShutdown; no new request is admitted.
   void begin_drain();
-  // Blocks until no request holds an admission slot.
-  void wait_idle();
   // Hard-stop posture: in-flight requests that trip their deadline from
   // here on trail as kServerShutdown (server-initiated), not kTimeout.
   void cancel_all();
-  bool draining() const {
-    return draining_.load(std::memory_order_acquire);
-  }
 
   // ---- the request path ----
   // Serves one request whose open frame the plane has already read from
@@ -160,7 +149,7 @@ class RequestService {
   ServerStats stats() const;
 
   // The STATS response body: "key value" text lines of a stats snapshot
-  // plus the plane's extra_stats rows. Exposed for tests and leptonctl.
+  // plus the plane's set_extra_stats rows. Exposed for tests and leptonctl.
   std::string stats_text();
 
  private:
@@ -171,6 +160,7 @@ class RequestService {
   void release_slot();
 
   ServiceConfig cfg_;
+  std::function<std::string()> extra_stats_;
   CodecContext& ctx_;
   std::unique_ptr<TransparentStore> own_store_;
   TransparentStore* store_ = nullptr;

@@ -14,6 +14,7 @@
 #include "lepton/context.h"
 #include "storage/scrubber.h"
 #include "util/fileio.h"
+#include "util/fnv1a.h"
 #include "util/md5.h"
 #include "util/thread_pool.h"
 
@@ -27,19 +28,6 @@ constexpr char kObjectsDir[] = "objects";
 constexpr char kQuarantineDir[] = "quarantine";
 constexpr char kReasonsLog[] = "quarantine/reasons.log";
 constexpr char kTempPrefix[] = ".tmp.";
-
-// FNV-1a over the record prefix: any bit flip anywhere in a journal line —
-// key, kind, md5, size or the checksum itself — fails validation, so a
-// corrupted record is rejected (and its object quarantined as an orphan)
-// instead of trusted.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 std::string to_hex64(std::uint64_t v) {
   char buf[17];
@@ -99,11 +87,15 @@ struct JournalRecord {
   std::uint64_t size;
 };
 
+// The record's last field is FNV-1a over everything before it: any bit flip
+// anywhere in a journal line — key, kind, md5, size or the checksum itself
+// — fails validation, so a corrupted record is rejected (and its object
+// quarantined as an orphan) instead of trusted.
 std::string format_record(const JournalRecord& r) {
   std::string body = "put " + escape_key(r.key) + ' ' +
                      std::string(storage_kind_name(r.kind)) + ' ' + r.md5_hex +
                      ' ' + std::to_string(r.size);
-  return body + ' ' + to_hex64(fnv1a(body)) + '\n';
+  return body + ' ' + to_hex64(util::fnv1a(body)) + '\n';
 }
 
 // Strict parse + checksum validation of one complete line (no newline).
@@ -111,7 +103,8 @@ bool parse_record(std::string_view line, JournalRecord* out) {
   std::size_t chk_at = line.find_last_of(' ');
   if (chk_at == std::string::npos) return false;
   std::string_view chk = line.substr(chk_at + 1);
-  if (chk.size() != 16 || to_hex64(fnv1a(line.substr(0, chk_at))) != chk) {
+  if (chk.size() != 16 ||
+      to_hex64(util::fnv1a(line.substr(0, chk_at))) != chk) {
     return false;
   }
   std::vector<std::string_view> f;

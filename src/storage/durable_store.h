@@ -145,7 +145,6 @@ struct ScrubberConfig {
   // Every Nth kLepton object additionally gets a decode spot-check (full
   // container decode, §5.7 consumption facts required). 0 disables.
   unsigned decode_check_every = 8;
-  bool journal_check = true;  // re-validate journal record checksums per pass
 };
 
 class DurableStore {

@@ -31,8 +31,6 @@ class EventSim {
     now_ = t_end;
   }
 
-  std::size_t pending() const { return queue_.size(); }
-
  private:
   struct Event {
     double t;

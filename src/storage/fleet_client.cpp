@@ -1,7 +1,7 @@
 #include "storage/fleet_client.h"
 
-#include <algorithm>
 #include <cstdlib>
+#include <thread>
 
 #include "server/client.h"
 
@@ -17,26 +17,9 @@ bool requeue_worthy(const server::RequestResult& res) {
          res.code == ExitCode::kServerShutdown;
 }
 
-// Extracts the daemon's "in_flight N" STATS row (docs/PROTOCOL.md). The
-// key must match the whole token — "in_flight_peak" is a different row.
-bool parse_in_flight(const std::vector<std::uint8_t>& text,
-                     std::uint64_t* out) {
-  const std::string s(text.begin(), text.end());
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t eol = s.find('\n', pos);
-    if (eol == std::string::npos) eol = s.size();
-    const std::string line = s.substr(pos, eol - pos);
-    pos = eol + 1;
-    std::size_t sp = line.find(' ');
-    if (sp == std::string::npos || line.substr(0, sp) != "in_flight") {
-      continue;
-    }
-    *out = std::strtoull(line.c_str() + sp + 1, nullptr, 10);
-    return true;
-  }
-  return false;
-}
+// The PING/STATS transport bound of one probe_now() conversation: a daemon
+// that cannot answer a health check this fast is not routable anyway.
+constexpr std::chrono::milliseconds kHealthTimeout{250};
 
 }  // namespace
 
@@ -61,44 +44,6 @@ FleetClient::FleetClient(FleetClientConfig cfg)
   if (cfg_.breaker_threshold < 1) cfg_.breaker_threshold = 1;
 }
 
-FleetClient::~FleetClient() { stop(); }
-
-void FleetClient::start() {
-  if (!cfg_.background_probe || prober_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    prober_stop_ = false;
-  }
-  prober_ = std::thread(&FleetClient::prober_main, this);
-}
-
-void FleetClient::stop() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    prober_stop_ = true;
-  }
-  prober_cv_.notify_all();
-  if (prober_.joinable()) prober_.join();
-}
-
-void FleetClient::prober_main() {
-  for (;;) {
-    std::chrono::milliseconds wait;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      // Jittered interval, drawn from the client seed: a fleet of these
-      // clients probing N daemons must not thundering-herd on one tick.
-      double f = 1.0 + cfg_.probe_jitter * (rng_.uniform() * 2.0 - 1.0);
-      wait = std::chrono::milliseconds(static_cast<std::int64_t>(
-          std::max(1.0, static_cast<double>(cfg_.probe_interval.count()) * f)));
-      if (prober_cv_.wait_for(lk, wait, [&] { return prober_stop_; })) {
-        return;
-      }
-    }
-    probe_now();
-  }
-}
-
 int FleetClient::probe_now() {
   // Snapshot who needs what under the lock; converse off it.
   struct Job {
@@ -116,6 +61,9 @@ int FleetClient::probe_now() {
         p.half_open_busy = false;
       }
       if (p.state == BreakerState::kHalfOpen && !p.half_open_busy) {
+        // This PING is the one half-open probe: no request may be routed
+        // here until it settles the breaker.
+        p.half_open_busy = true;
         jobs.push_back({i, true});
       } else if (p.state == BreakerState::kClosed) {
         jobs.push_back({i, false});
@@ -132,7 +80,7 @@ int FleetClient::probe_now() {
     }
     auto cli = server::LeptonClient::connect(endpoint);
     server::RequestOptions opts;
-    opts.transport_timeout = cfg_.health_timeout;
+    opts.transport_timeout = kHealthTimeout;
     server::RequestResult r;
     if (cli.ok()) {
       r = job.half_open ? cli.ping(opts) : cli.stats();
@@ -157,8 +105,10 @@ int FleetClient::probe_now() {
       continue;
     }
     if (!job.half_open && r.code == ExitCode::kSuccess) {
-      std::uint64_t depth = 0;
-      if (parse_in_flight(r.data, &depth)) p.server_in_flight = depth;
+      const std::string depth = server::stats_value(r.data, "in_flight");
+      if (!depth.empty()) {
+        p.server_in_flight = std::strtoull(depth.c_str(), nullptr, 10);
+      }
     }
     record_success_locked(job.ix);
   }
@@ -182,10 +132,6 @@ int FleetClient::pick_locked(std::chrono::steady_clock::time_point now,
     }
   }
   if (!closed.empty()) {
-    if (!cfg_.least_in_flight) {
-      return static_cast<int>(closed[static_cast<std::size_t>(
-          rng_.below(static_cast<std::uint64_t>(closed.size())))]);
-    }
     std::uint64_t best = ~0ull;
     std::vector<std::size_t> ties;
     for (std::size_t i : closed) {

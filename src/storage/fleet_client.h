@@ -8,17 +8,14 @@
 // another one is routable — with one endpoint it retries in place. Around
 // that rule:
 //
-//   * a background prober re-pings every endpoint on an interval with
-//     jitter, so recovery is discovered without waiting for a request to
-//     fail into a dead box;
 //   * a per-endpoint circuit breaker: closed -> open after N consecutive
 //     transport failures -> half-open after a cooldown, where exactly one
-//     probe request (or a prober PING) is allowed through — success closes
-//     the breaker, failure re-opens it;
+//     probe request (or probe_now() PING) is allowed through — success
+//     closes the breaker, failure re-opens it;
 //   * retry budgets with exponential backoff + jitter between attempts;
-//   * least-in-flight routing fed by STATS polling (the daemon's
-//     `in_flight` key) plus locally outstanding requests, or seeded
-//     uniform routing like the production load balancers (§5.5);
+//   * least-in-flight routing, not the uniform assignment of the production
+//     load balancers (§5.5): the daemon's STATS-reported `in_flight`, as of
+//     the last probe_now(), plus locally outstanding requests;
 //   * graceful degradation: put() admits via the §5.7 round-trip gate when
 //     the fleet converts, and stores the original bytes pass-through
 //     (StorageKind::kPassthrough) when it cannot — a fleet-wide outage
@@ -26,7 +23,10 @@
 //
 // Health-checked routing is one probe_now() before traffic: its STATS poll
 // opens the breaker of a dead endpoint (threshold permitting) and of a
-// kill-switched one (the trailer's shutoff flag) for encode fleets.
+// kill-switched one (the trailer's shutoff flag) for encode fleets. The
+// client starts no thread: a caller that wants fresher depths or faster
+// recovery calls probe_now() again (it is safe beside traffic), and
+// half-open breakers find recovered daemons on the request path anyway.
 //
 // Determinism: all routing/jitter randomness draws from one seeded Rng, so
 // a chaos run (tests/fault_test.cpp, examples/chaos_fleet.cpp) replays
@@ -34,12 +34,10 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "lepton/store.h"
@@ -71,7 +69,7 @@ struct RequeueMetrics {
   std::uint64_t requeues = 0;            // attempts beyond the first
   std::uint64_t succeeded = 0;
   std::uint64_t transport_failures = 0;  // connect/IO-level attempt failures
-  std::uint64_t health_probes = 0;       // prober PINGs + STATS polls issued
+  std::uint64_t health_probes = 0;       // probe_now() PINGs + STATS polls
   std::uint64_t unhealthy_endpoints = 0; // demotions: dead or kill-switched
   std::uint64_t breaker_opens = 0;       // closed/half-open -> open
   std::uint64_t breaker_closes = 0;      // half-open probe succeeded
@@ -121,17 +119,6 @@ struct FleetClientConfig {
   int breaker_threshold = 3;
   std::chrono::milliseconds breaker_cooldown{500};
 
-  // Background prober. start() spawns it when enabled; probe_now() runs
-  // one pass synchronously either way (tests drive it directly).
-  bool background_probe = false;
-  std::chrono::milliseconds probe_interval{1000};
-  double probe_jitter = 0.25;  // interval scales by 1 +/- jitter
-  std::chrono::milliseconds health_timeout{250};
-
-  // Route to the candidate with the fewest in-flight requests (server-
-  // reported via STATS + locally outstanding); false = seeded uniform.
-  bool least_in_flight = true;
-
   std::uint64_t seed = 66;  // §6.6
 };
 
@@ -150,15 +137,9 @@ struct EndpointHealth {
 class FleetClient {
  public:
   explicit FleetClient(FleetClientConfig cfg);
-  ~FleetClient();
 
   FleetClient(const FleetClient&) = delete;
   FleetClient& operator=(const FleetClient&) = delete;
-
-  // Spawns the background prober (no-op unless cfg.background_probe).
-  void start();
-  // Joins the prober. Safe to call repeatedly; the destructor calls it.
-  void stop();
 
   // One conversion through the fleet with breakers, backoff and requeue.
   // trace.final_code == kSuccess means trace.data holds the response body.
@@ -182,10 +163,11 @@ class FleetClient {
   PutResult put(const TransparentStore& store,
                 std::span<const std::uint8_t> jpeg);
 
-  // One synchronous probe pass (the prober thread's body): due open
-  // breakers go half-open and get a PING probe; closed endpoints get a
-  // STATS poll that refreshes in-flight depth and doubles as a health
-  // check. Returns the number of endpoints probed.
+  // One synchronous probe pass: due open breakers go half-open and get a
+  // PING that holds their one half-open probe (no request is routed there
+  // while it is out); closed endpoints get a STATS poll that refreshes
+  // in-flight depth and doubles as a health check. Safe to call from any
+  // thread, beside traffic. Returns the number of endpoints probed.
   int probe_now();
 
   RequeueMetrics metrics() const;
@@ -215,17 +197,11 @@ class FleetClient {
   void record_success_locked(std::size_t ix);
   void record_transport_failure_locked(std::size_t ix);
 
-  void prober_main();
-
   FleetClientConfig cfg_;
   mutable std::mutex mu_;
   std::vector<Peer> peers_;
   RequeueMetrics metrics_;
   util::Rng rng_;
-
-  std::thread prober_;
-  std::condition_variable prober_cv_;
-  bool prober_stop_ = false;
 };
 
 }  // namespace lepton::storage

@@ -2,20 +2,13 @@
 
 #include <algorithm>
 
+#include "util/fnv1a.h"
+
 namespace lepton::storage {
 
 namespace {
 
-// 64-bit FNV-1a over a byte string — the repo's standing checksum idiom
-// (journal records, trace ids). Placement only; not cryptographic.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+using util::fnv1a;
 
 // SplitMix64 finalizer: a cheap, well-mixed bijection. Turning the FNV
 // digest through it decorrelates nearby names/vnode indices so points

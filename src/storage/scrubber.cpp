@@ -49,7 +49,7 @@ void Scrubber::run_pass() {
     // only the background thread throttles.
     if (running_ && !throttle(bytes)) return;
   }
-  if (cfg_.journal_check) store_->scrub_verify_journal();
+  store_->scrub_verify_journal();
 }
 
 void Scrubber::thread_main() {

@@ -33,9 +33,7 @@ std::unique_ptr<FleetClient> ShardedStore::make_fleet(
   FleetClientConfig fc = cfg_.fleet;
   fc.endpoints = sh.endpoints;
   fc.op = FleetOp::kEncode;
-  auto client = std::make_unique<FleetClient>(std::move(fc));
-  client->start();
-  return client;
+  return std::make_unique<FleetClient>(std::move(fc));
 }
 
 std::unique_ptr<ShardedStore> ShardedStore::open(ShardedStoreConfig cfg,

@@ -47,7 +47,6 @@ class BitWriter {
     while (nbits_ != 0) put_bit(pad_bit);
   }
 
-  bool byte_aligned() const { return nbits_ == 0; }
   int bit_offset() const { return nbits_; }
 
   // The bits of the unfinished byte, placed in the most significant
@@ -120,19 +119,7 @@ class BitReader {
     return v;
   }
 
-  void skip_to_byte() {
-    if (bit_pos_ != 0) {
-      bit_pos_ = 0;
-      ++byte_pos_;
-    }
-  }
-
   bool ok() const { return ok_; }
-  bool at_end() const { return byte_pos_ >= data_.size(); }
-  std::size_t byte_pos() const { return byte_pos_; }
-  int bit_pos() const { return bit_pos_; }
-  // Absolute position in bits from the start of the span.
-  std::uint64_t bit_position() const { return byte_pos_ * 8ull + bit_pos_; }
 
  private:
   std::span<const std::uint8_t> data_;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "util/fnv1a.h"
 #include "util/rng.h"
 
 namespace lepton::util::failpoint {
@@ -39,17 +40,6 @@ struct Registry {
 Registry& registry() {
   static Registry r;
   return r;
-}
-
-// FNV-1a: stable per-site seed derivation, so two sites armed with the
-// same global seed still draw independent sequences.
-std::uint64_t hash_name(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 struct ErrnoName {
@@ -233,11 +223,13 @@ bool arm(const std::string& spec, std::string* err) {
   }
 
   // Seed each site's PRNG only now: a 'seed=' entry anywhere in the spec
-  // applies to every site without an explicit @seedN override.
+  // applies to every site without an explicit @seedN override. Mixing in
+  // the site name's FNV-1a keeps two sites armed with the same global
+  // seed drawing independent sequences.
   for (std::size_t i = 0; i < sites.size(); ++i) {
     std::uint64_t seed = seed_override[i].first
                              ? seed_override[i].second
-                             : (global_seed ^ hash_name(sites[i].name));
+                             : (global_seed ^ fnv1a(sites[i].name));
     sites[i].rng = Rng(seed);
   }
 

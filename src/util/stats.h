@@ -57,7 +57,6 @@ class Percentiles {
     samples_.clear();
     sorted_ = false;
   }
-  const std::vector<double>& samples() const { return samples_; }
 
  private:
   void sort_if_needed() const {

@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <string>
@@ -274,7 +275,7 @@ TEST_F(FaultTest, BreakerOpensHalfOpensAndCloses) {
   EXPECT_EQ(fast.final_code, ExitCode::kServerShutdown);
   EXPECT_GE(fc.metrics().breaker_fast_fails, 1u);
 
-  // Cooldown elapses, faults cleared: the prober's half-open PING closes it.
+  // Cooldown elapses, faults cleared: a probe_now() PING closes it.
   fp::disarm();
   std::this_thread::sleep_for(cfg.breaker_cooldown +
                               std::chrono::milliseconds(10));
@@ -316,6 +317,37 @@ TEST_F(FaultTest, HalfOpenAdmitsOneProbeAndReopensOnFailure) {
   // Immediately after the failed probe the cooldown is fresh: fast-fail.
   auto fast = fc.convert(FleetOp::kEncode, body);
   EXPECT_EQ(fast.attempts, 0);
+}
+
+// probe_now()'s PING through a half-open breaker is that breaker's one
+// probe: a conversion routed while the PING is out fails fast instead of
+// becoming a second probe.
+TEST_F(FaultTest, ProbeNowHoldsTheOneHalfOpenProbe) {
+  lepton::CodecContext ctx(2);
+  EventServer srv = make_tcp_server(&ctx);
+  ASSERT_TRUE(srv.start()) << srv.last_error();
+  FleetClientConfig cfg = client_cfg(srv.bound_address());
+  cfg.breaker_threshold = 1;
+  cfg.max_attempts = 1;
+  FleetClient fc(cfg);
+  std::vector<std::uint8_t> body{1, 2, 3};
+
+  ASSERT_TRUE(fp::arm("fleet.connect=err:ECONNREFUSED@once"));
+  (void)fc.convert(FleetOp::kEncode, body);
+  ASSERT_EQ(fc.endpoints()[0].state, BreakerState::kOpen);
+  std::this_thread::sleep_for(cfg.breaker_cooldown +
+                              std::chrono::milliseconds(10));
+  // The PING's connect stalls 500 ms. health_probes counts it after the
+  // pass has claimed the probe and before that connect.
+  ASSERT_TRUE(fp::arm("fleet.connect=delay:500ms@once"));
+  std::thread probing([&] { fc.probe_now(); });
+  while (fc.metrics().health_probes == 0) std::this_thread::yield();
+  auto tr = fc.convert(FleetOp::kEncode, body);
+  EXPECT_EQ(tr.attempts, 0);
+  EXPECT_EQ(fc.metrics().half_open_probes, 0u);
+  probing.join();
+  EXPECT_EQ(fc.endpoints()[0].state, BreakerState::kClosed);  // PING closed it
+  srv.stop();
 }
 
 TEST_F(FaultTest, BackoffSleepsABoundedExponentialSchedule) {
@@ -405,6 +437,57 @@ TEST_F(FaultTest, RoutesToTheLeastLoadedEndpoint) {
   // A STATS probe pass refreshes the stale depth from the live server.
   EXPECT_EQ(fc.probe_now(), 2);
   EXPECT_EQ(fc.endpoints()[0].server_in_flight, 0u);
+  a.stop();
+  b.stop();
+}
+
+// probe_now() is the client's one health mechanism, and callers run it
+// beside traffic: its STATS polls and the request path share the routing
+// state (under TSan, the probe-vs-route interleaving). It may cost no
+// conversion its bytes, a requeue or a breaker.
+TEST_F(FaultTest, ProbeNowBesideTrafficKeepsEveryConversionExact) {
+  lepton::CodecContext ctx(2);
+  EventServer a = make_tcp_server(&ctx);
+  EventServer b = make_tcp_server(&ctx);
+  ASSERT_TRUE(a.start()) << a.last_error();
+  ASSERT_TRUE(b.start()) << b.last_error();
+  std::vector<std::vector<std::uint8_t>> files, expected;
+  for (int i = 0; i < 6; ++i) {
+    files.push_back(lepton::corpus::jpeg_of_size(48 << 10, 40 + i));
+    expected.push_back(lepton::encode_jpeg(files.back()).data);
+  }
+  FleetClientConfig cfg = client_cfg(a.bound_address());
+  cfg.endpoints = {a.bound_address(), b.bound_address()};
+  FleetClient fc(cfg);
+  std::atomic<bool> done{false};
+  std::thread probing([&] {
+    do {
+      fc.probe_now();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } while (!done.load());
+  });
+  std::atomic<int> inexact{0};
+  auto traffic = [&] {
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      if (fc.convert(FleetOp::kEncode, files[i]).data != expected[i]) {
+        ++inexact;
+      }
+    }
+  };
+  std::thread t1(traffic), t2(traffic);
+  t1.join();
+  t2.join();
+  done = true;
+  probing.join();
+  EXPECT_EQ(inexact.load(), 0);
+  auto m = fc.metrics();
+  EXPECT_EQ(m.requests, 12u);
+  EXPECT_EQ(m.succeeded, 12u);
+  EXPECT_EQ(m.requeues, 0u);
+  EXPECT_GT(m.health_probes, 0u);
+  for (const auto& ep : fc.endpoints()) {
+    EXPECT_EQ(ep.state, BreakerState::kClosed) << ep.endpoint;
+  }
   a.stop();
   b.stop();
 }

@@ -191,6 +191,23 @@ TEST(Protocol, TrailerRoundTrip) {
   EXPECT_EQ(out.bytes_out, in.bytes_out);
 }
 
+// The one STATS-row reader, shared by FleetClient's depth poll and
+// leptonctl's health sweep: a key matches a whole token, so "in_flight"
+// never reads the "in_flight_peak" row, whichever comes first.
+TEST(Protocol, StatsValueMatchesWholeKeysOnly) {
+  using lepton::server::stats_value;
+  auto text = [](const std::string& s) {
+    return std::vector<std::uint8_t>(s.begin(), s.end());
+  };
+  const auto rows = text("in_flight_peak 7\nin_flight 3\nrequests 12");
+  EXPECT_EQ(stats_value(rows, "in_flight"), "3");
+  EXPECT_EQ(stats_value(rows, "in_flight_peak"), "7");
+  EXPECT_EQ(stats_value(rows, "requests"), "12");  // no trailing newline
+  EXPECT_EQ(stats_value(text("in_flight_peak 7\n"), "in_flight"), "");
+  EXPECT_EQ(stats_value(text("in_flight\n"), "in_flight"), "");
+  EXPECT_EQ(stats_value(text(""), "in_flight"), "");
+}
+
 TEST(ReservoirPercentiles, BoundedAndAccurate) {
   lepton::util::ReservoirPercentiles r(512);
   for (int i = 0; i < 100000; ++i) r.add(i % 1000);

@@ -109,6 +109,18 @@ TEST(HashRing, IdenticalAcrossInstancesWithSameSeed) {
   EXPECT_GT(differs, 3000) << "seed does not actually salt placement";
 }
 
+// Placement is a contract with every store already written: these values
+// predate the shared util/fnv1a.h and must never change.
+TEST(HashRing, PlacementIsPinned) {
+  ls::HashRing r;
+  for (const char* n : {"s0", "s1", "s2", "s3"}) r.add_shard(n);
+  const int expected[8] = {3, 1, 2, 0, 1, 0, 3, 1};
+  for (int k = 0; k < 8; ++k) {
+    EXPECT_EQ(r.shard_of("photo/" + std::to_string(k)), expected[k]) << k;
+  }
+  EXPECT_EQ(r.key_point("photo/0"), 0x5860ed3b1f3c12b8ull);
+}
+
 TEST(HashRing, StableIdsAndAccessors) {
   ls::HashRing r;
   EXPECT_EQ(r.shard_of("anything"), -1);  // empty ring

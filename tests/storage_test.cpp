@@ -345,6 +345,30 @@ TEST(DurableStore, KeysWithSpacesAndControlBytesSurviveTheJournal) {
   EXPECT_EQ(r.data, jpeg);
 }
 
+// A journal line written before the record checksum moved into
+// util/fnv1a.h: the same object still journals to exactly this line, and a
+// store holding only this line and its object serves the key.
+TEST(DurableStore, JournalLineFromBeforeTheSharedFnvStillVerifies) {
+  const std::string line =
+      "put pinned%20key passthrough 9bb30f522afbbe84721a9c5297f57ad3 10 "
+      "16f5567374a9b544\n";
+  const std::vector<std::uint8_t> body = {'n', 'o', 't', ' ', 'a', ' ',
+                                          'j', 'p', 'e', 'g'};
+  lepton::StoredObject obj = lepton::TransparentStore().put_passthrough(body);
+  std::string root = fresh_root("journalpin");
+  ASSERT_TRUE(open_store(root)->put_object("pinned key", obj).acknowledged);
+  std::vector<std::uint8_t> j;
+  ASSERT_TRUE(lepton::util::fileio::read_file(root + "/journal", &j));
+  EXPECT_EQ(std::string(j.begin(), j.end()), line);
+
+  std::ofstream(root + "/journal", std::ios::trunc) << line;  // the old line
+  auto s = open_store(root);
+  EXPECT_EQ(s->stats().recovery.journal_bad_records, 0u);
+  lepton::Result r;
+  ASSERT_TRUE(s->get("pinned key", &r));
+  EXPECT_EQ(r.data, body);
+}
+
 // The recovery matrix proper. For each site: arm a once-firing failure,
 // put (must fail with a first-class disk code, never kImpossible), then
 // reopen and check nothing is half-served and prior data is untouched.

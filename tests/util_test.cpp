@@ -1,6 +1,7 @@
 // Unit tests for the foundation module: bit I/O (including handover resume),
-// serialization, statistics, MD5 vectors and the loop-form oracle, tracked
-// memory, RNG determinism, the bounded parallel-for, and whole-file reads.
+// serialization, statistics, MD5 vectors and the loop-form oracle, FNV-1a
+// vectors, tracked memory, RNG determinism, the bounded parallel-for, and
+// whole-file reads.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -14,6 +15,7 @@
 #include "util/bitio.h"
 #include "util/exit_codes.h"
 #include "util/fileio.h"
+#include "util/fnv1a.h"
 #include "util/md5.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -184,6 +186,17 @@ TEST(Md5, StraightLineKernelMatchesLoopFormOracle) {
   EXPECT_EQ(lu::Md5::digest({big.data(), big.size()}), want);
   EXPECT_EQ(chunked(big), want);
   EXPECT_EQ(lu::Md5::hex_digest({big.data(), big.size()}), lu::Md5::hex(want));
+}
+
+// The published 64-bit FNV-1a test vectors. The journal checksum, ring
+// placement and failpoint seeds all rest on this one function.
+TEST(Fnv1a, StandardVectors) {
+  EXPECT_EQ(lu::fnv1a(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(lu::fnv1a("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(lu::fnv1a("foobar"), 0x85944171f73967e8ull);
+  // Bytes above 0x7f hash as unsigned, whatever char's signedness.
+  EXPECT_EQ(lu::fnv1a("\xff"), (0xcbf29ce484222325ull ^ 0xffull) *
+                                    0x100000001b3ull);
 }
 
 TEST(TrackedMemory, GaugeSeesPeak) {
