@@ -12,7 +12,7 @@ double total_ratio(const std::vector<lepton::corpus::CorpusFile>& corpus,
                    const lepton::model::ModelOptions& m) {
   std::uint64_t in = 0, out = 0;
   lepton::EncodeOptions opt;
-  opt.one_way = true;  // isolate the model from threading effects
+  opt.force_threads = 1;  // isolate the model from threading effects
   opt.model = m;
   for (const auto& f : corpus) {
     if (f.kind != lepton::corpus::FileKind::kBaselineJpeg) continue;

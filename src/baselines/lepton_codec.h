@@ -13,7 +13,7 @@ namespace lepton::baselines {
 class LeptonCodecAdapter : public Codec {
  public:
   explicit LeptonCodecAdapter(bool one_way) : one_way_(one_way) {
-    opts_.one_way = one_way;
+    if (one_way) opts_.force_threads = 1;
   }
   std::string name() const override {
     return one_way_ ? "lepton-1way" : "lepton";

@@ -1,7 +1,5 @@
 #include "jpeg/parser.h"
 
-#include <cstring>
-
 namespace lepton::jpegfmt {
 namespace {
 
@@ -13,7 +11,6 @@ constexpr std::uint8_t kSOS = 0xDA;
 constexpr std::uint8_t kDQT = 0xDB;
 constexpr std::uint8_t kDHT = 0xC4;
 constexpr std::uint8_t kDRI = 0xDD;
-constexpr std::uint8_t kCOM = 0xFE;
 
 [[noreturn]] void fail(ExitCode c, const char* msg) {
   throw ParseError(c, msg);
@@ -41,7 +38,6 @@ class Cursor {
     return s;
   }
   std::size_t pos() const { return pos_; }
-  bool at_end() const { return pos_ >= d_.size(); }
 
  private:
   std::span<const std::uint8_t> d_;
@@ -243,74 +239,105 @@ void locate_scan_end(JpegFile& jf) {
 
 }  // namespace
 
-namespace {
-
-JpegFile parse_impl(std::span<const std::uint8_t> bytes, bool header_only);
-
-}  // namespace
-
 JpegFile parse_jpeg(std::span<const std::uint8_t> bytes) {
-  return parse_impl(bytes, /*header_only=*/false);
+  return JpegHeaderProbe().finish(
+      std::vector<std::uint8_t>(bytes.begin(), bytes.end()),
+      /*header_only=*/false);
 }
 
 JpegFile parse_jpeg_header(std::span<const std::uint8_t> header_bytes) {
-  return parse_impl(header_bytes, /*header_only=*/true);
+  return JpegHeaderProbe().finish(
+      std::vector<std::uint8_t>(header_bytes.begin(), header_bytes.end()),
+      /*header_only=*/true);
 }
 
-namespace {
+// ---- the header parser ------------------------------------------------------
 
-JpegFile parse_impl(std::span<const std::uint8_t> bytes, bool header_only) {
-  if (bytes.size() < 4 || bytes[0] != 0xFF || bytes[1] != kSOI) {
-    fail(ExitCode::kNotAnImage, "no SOI");
+HeaderProbeStatus JpegHeaderProbe::update(std::span<const std::uint8_t> bytes) {
+  return walk(bytes, /*at_end=*/false);
+}
+
+JpegFile JpegHeaderProbe::finish(std::vector<std::uint8_t> file,
+                                 bool header_only) {
+  if (walk(file, /*at_end=*/true) == HeaderProbeStatus::kRejected) {
+    throw ParseError(code_, msg_);
   }
-  JpegFile jf;
-  jf.file.assign(bytes.begin(), bytes.end());
-  Cursor c({jf.file.data(), jf.file.size()});
-  c.skip(2);  // SOI
+  // At end of input the walk either completes or rejects.
+  JpegFile jf = std::move(jf_);
+  jf.file = std::move(file);
+  if (header_only) {
+    jf.scan_end = jf.scan_begin;
+    jf.trailing_begin = jf.file.size();
+    return jf;
+  }
+  locate_scan_end(jf);
+  if (jf.scan_end == jf.scan_begin) {
+    // "JPEG files that consist entirely of a header" (§6.2).
+    fail(ExitCode::kUnsupportedJpeg, "empty scan");
+  }
+  return jf;
+}
 
-  bool have_sof = false;
+HeaderProbeStatus JpegHeaderProbe::walk(std::span<const std::uint8_t> bytes,
+                                        bool at_end) {
+  if (status_ != HeaderProbeStatus::kNeedMore) return status_;
+  try {
+    walk_markers(bytes, at_end);
+  } catch (const ParseError& e) {
+    status_ = HeaderProbeStatus::kRejected;
+    code_ = e.code();
+    msg_ = e.what();
+  }
+  return status_;
+}
+
+// Marker walk, resumed at pos_ (always a marker boundary). Returns when the
+// bytes run out before the header does; throws ParseError on a rejection.
+void JpegHeaderProbe::walk_markers(std::span<const std::uint8_t> bytes,
+                                   bool at_end) {
+  // True when bytes [0, end) have arrived. At end of input nothing more
+  // will, so a missing byte is the truncation rejection.
+  const auto have = [&](std::size_t end) {
+    if (end <= bytes.size()) return true;
+    if (at_end) fail(ExitCode::kNotAnImage, "truncated header");
+    return false;
+  };
+  if (pos_ == 0) {
+    if ((!bytes.empty() && bytes[0] != 0xFF) ||
+        (bytes.size() >= 2 && bytes[1] != kSOI)) {
+      fail(ExitCode::kNotAnImage, "no SOI");
+    }
+    if (!have(2)) return;
+    pos_ = 2;
+  }
   for (;;) {
-    std::uint8_t ff = c.u8();
-    if (ff != 0xFF) fail(ExitCode::kNotAnImage, "marker expected");
-    std::uint8_t marker = c.u8();
-    while (marker == 0xFF) marker = c.u8();  // fill bytes
+    std::size_t p = pos_;
+    if (!have(p + 1)) return;
+    if (bytes[p] != 0xFF) fail(ExitCode::kNotAnImage, "marker expected");
+    do {
+      ++p;
+    } while (p < bytes.size() && bytes[p] == 0xFF);  // fill bytes
+    if (!have(p + 1)) return;
+    const std::uint8_t marker = bytes[p++];
 
-    if (marker == kSOS) {
-      if (!have_sof) fail(ExitCode::kNotAnImage, "SOS before SOF");
-      std::size_t len = c.u16be();
-      if (len < 2) fail(ExitCode::kNotAnImage, "SOS length");
-      parse_sos(c, len - 2, jf);
-      jf.scan_begin = c.pos();
-      finalize_geometry(jf);
-      if (header_only) {
-        jf.scan_end = jf.scan_begin;
-        jf.trailing_begin = jf.file.size();
-        return jf;
-      }
-      locate_scan_end(jf);
-      if (jf.scan_end == jf.scan_begin) {
-        // "JPEG files that consist entirely of a header" (§6.2).
-        fail(ExitCode::kUnsupportedJpeg, "empty scan");
-      }
-      return jf;
+    if (marker == kSOS && !have_sof_) {
+      fail(ExitCode::kNotAnImage, "SOS before SOF");
     }
-    if (marker == kEOI) {
-      fail(ExitCode::kUnsupportedJpeg, "header-only file");
-    }
+    if (marker == kEOI) fail(ExitCode::kUnsupportedJpeg, "header-only file");
     if (marker == kSOI || (marker >= 0xD0 && marker <= 0xD7)) {
       fail(ExitCode::kNotAnImage, "stray restart/SOI in header");
     }
-
-    std::size_t len = c.u16be();
+    if (!have(p + 2)) return;
+    const std::size_t len = (static_cast<std::size_t>(bytes[p]) << 8) |
+                            bytes[p + 1];
     if (len < 2) fail(ExitCode::kNotAnImage, "segment length");
-    std::size_t payload = len - 2;
 
+    // Marker-level rejections need no payload: a progressive or
+    // hierarchical upload dies the moment its SOF marker arrives.
     switch (marker) {
       case 0xC0:  // SOF0 baseline
       case 0xC1:  // SOF1 extended sequential (Huffman, 8-bit): admitted
-        if (have_sof) fail(ExitCode::kNotAnImage, "duplicate SOF");
-        parse_sof(c, payload, jf);
-        have_sof = true;
+        if (have_sof_) fail(ExitCode::kNotAnImage, "duplicate SOF");
         break;
       case 0xC2:
         fail(ExitCode::kProgressive, "progressive JPEG");
@@ -325,159 +352,50 @@ JpegFile parse_impl(std::span<const std::uint8_t> bytes, bool header_only) {
       case 0xCE:
       case 0xCF:
         fail(ExitCode::kUnsupportedJpeg, "unsupported SOF type");
-      case kDHT:
-        parse_dht(c, payload, jf);
-        break;
-      case kDQT:
-        parse_dqt(c, payload, jf);
-        break;
-      case kDRI: {
-        if (payload != 2) fail(ExitCode::kNotAnImage, "DRI length");
-        jf.restart_interval = c.u16be();
-        break;
-      }
       case 0xDC:  // DNL
       case 0xDE:  // DHP (hierarchical)
       case 0xDF:  // EXP
         fail(ExitCode::kUnsupportedJpeg, "hierarchical/DNL");
-      case kCOM:
+      default:
+        break;
+    }
+
+    // A segment is examined once all of it has arrived. At end of input it
+    // is examined as far as it goes, so a defect among the bytes present
+    // outranks the truncation.
+    if (p + len > bytes.size() && !at_end) return;
+    Cursor c(bytes);
+    c.skip(p + 2);
+    const std::size_t payload = len - 2;
+    switch (marker) {
+      case kSOS:
+        parse_sos(c, payload, jf_);
+        finalize_geometry(jf_);
+        jf_.scan_begin = c.pos();
+        status_ = HeaderProbeStatus::kComplete;
+        return;
+      case 0xC0:
+      case 0xC1:
+        parse_sof(c, payload, jf_);
+        have_sof_ = true;
+        break;
+      case kDHT:
+        parse_dht(c, payload, jf_);
+        break;
+      case kDQT:
+        parse_dqt(c, payload, jf_);
+        break;
+      case kDRI:
+        if (payload != 2) fail(ExitCode::kNotAnImage, "DRI length");
+        jf_.restart_interval = c.u16be();
+        break;
       default:
         // APPn, COM, and anything unrecognized-but-framed: keep raw bytes
         // (they are part of the header blob Lepton zlib-compresses).
         c.skip(payload);
         break;
     }
-  }
-}
-
-}  // namespace
-
-// ---- streaming header probe -------------------------------------------------
-
-HeaderProbeStatus JpegHeaderProbe::reject(util::ExitCode code,
-                                          std::string msg) {
-  status_ = HeaderProbeStatus::kRejected;
-  code_ = code;
-  msg_ = std::move(msg);
-  return status_;
-}
-
-HeaderProbeStatus JpegHeaderProbe::update(std::span<const std::uint8_t> bytes) {
-  if (status_ != HeaderProbeStatus::kNeedMore) return status_;
-
-  if (pos_ == 0) {
-    if (!bytes.empty() && bytes[0] != 0xFF) {
-      return reject(ExitCode::kNotAnImage, "no SOI");
-    }
-    if (bytes.size() >= 2 && bytes[1] != kSOI) {
-      return reject(ExitCode::kNotAnImage, "no SOI");
-    }
-    if (bytes.size() < 2) return status_;
-    pos_ = 2;
-  }
-
-  // Marker walk, resumed at pos_ — always a marker boundary. A marker
-  // segment is examined only once every one of its bytes has arrived;
-  // classification reuses the same segment parsers as parse_jpeg, so the
-  // probe can never disagree with the authoritative parse, only run ahead
-  // of it.
-  for (;;) {
-    std::size_t p = pos_;
-    if (p >= bytes.size()) return status_;
-    if (bytes[p] != 0xFF) {
-      return reject(ExitCode::kNotAnImage, "marker expected");
-    }
-    ++p;
-    while (p < bytes.size() && bytes[p] == 0xFF) ++p;  // fill bytes
-    if (p >= bytes.size()) return status_;
-    std::uint8_t marker = bytes[p];
-    ++p;
-
-    if (marker == kSOS) {
-      if (!have_sof_) return reject(ExitCode::kNotAnImage, "SOS before SOF");
-      if (p + 2 > bytes.size()) return status_;
-      std::size_t len = (static_cast<std::size_t>(bytes[p]) << 8) | bytes[p + 1];
-      if (len < 2) return reject(ExitCode::kNotAnImage, "SOS length");
-      if (p + len > bytes.size()) return status_;
-      try {
-        Cursor c(bytes);
-        c.skip(p + 2);
-        parse_sos(c, len - 2, jf_);
-        finalize_geometry(jf_);
-      } catch (const ParseError& e) {
-        return reject(e.code(), e.what());
-      }
-      scan_begin_ = p + len;
-      status_ = HeaderProbeStatus::kComplete;
-      return status_;
-    }
-    if (marker == kEOI) {
-      return reject(ExitCode::kUnsupportedJpeg, "header-only file");
-    }
-    if (marker == kSOI || (marker >= 0xD0 && marker <= 0xD7)) {
-      return reject(ExitCode::kNotAnImage, "stray restart/SOI in header");
-    }
-
-    if (p + 2 > bytes.size()) return status_;
-    std::size_t len = (static_cast<std::size_t>(bytes[p]) << 8) | bytes[p + 1];
-    if (len < 2) return reject(ExitCode::kNotAnImage, "segment length");
-    std::size_t payload = len - 2;
-
-    // Marker-level rejections do not need the payload: a progressive or
-    // hierarchical file dies the moment its SOF marker arrives, even if
-    // the upload has barely started.
-    switch (marker) {
-      case 0xC0:
-      case 0xC1:
-        if (have_sof_) return reject(ExitCode::kNotAnImage, "duplicate SOF");
-        break;
-      case 0xC2:
-        return reject(ExitCode::kProgressive, "progressive JPEG");
-      case 0xC3:
-      case 0xC5:
-      case 0xC6:
-      case 0xC7:
-      case 0xC9:
-      case 0xCA:
-      case 0xCB:
-      case 0xCD:
-      case 0xCE:
-      case 0xCF:
-        return reject(ExitCode::kUnsupportedJpeg, "unsupported SOF type");
-      case 0xDC:  // DNL
-      case 0xDE:  // DHP (hierarchical)
-      case 0xDF:  // EXP
-        return reject(ExitCode::kUnsupportedJpeg, "hierarchical/DNL");
-      default:
-        break;
-    }
-    if (p + 2 + payload > bytes.size()) return status_;
-
-    try {
-      Cursor c(bytes);
-      c.skip(p + 2);
-      switch (marker) {
-        case 0xC0:
-        case 0xC1:
-          parse_sof(c, payload, jf_);
-          have_sof_ = true;
-          break;
-        case kDHT:
-          parse_dht(c, payload, jf_);
-          break;
-        case kDQT:
-          parse_dqt(c, payload, jf_);
-          break;
-        case kDRI:
-          if (payload != 2) return reject(ExitCode::kNotAnImage, "DRI length");
-          break;
-        default:
-          break;  // APPn, COM, unrecognized-but-framed: carried verbatim
-      }
-    } catch (const ParseError& e) {
-      return reject(e.code(), e.what());
-    }
-    pos_ = p + 2 + payload;
+    pos_ = c.pos();
   }
 }
 

@@ -52,46 +52,50 @@ JpegFile parse_jpeg(std::span<const std::uint8_t> bytes);
 // decoded without access to other chunks (§3.4).
 JpegFile parse_jpeg_header(std::span<const std::uint8_t> header_bytes);
 
-// ---- streaming header probe -------------------------------------------------
+// ---- the header parser ------------------------------------------------------
 
 enum class HeaderProbeStatus : std::uint8_t {
   kNeedMore,   // prefix is consistent with an admissible JPEG, keep feeding
-  kComplete,   // header walked through SOS; scan_begin() is valid
+  kComplete,   // header walked through SOS
   kRejected,   // classified rejection — the file can never be admitted
 };
 
-// Resumable pre-parse of a baseline-JPEG header for streaming feeds
-// (lepton::EncodeSession): call update() with the full file prefix
-// accumulated so far, as often as new bytes arrive. The probe resumes at
-// the marker boundary where it last stopped — completed markers are never
+// The one JPEG header parser: a resumable marker walk. A streaming caller
+// (lepton::EncodeSession) calls update() with the full file prefix
+// accumulated so far, as often as new bytes arrive. The walk resumes at the
+// marker boundary where it last stopped — completed markers are never
 // re-walked — and a marker segment is examined only once all of its bytes
-// are present, so partial headers simply report kNeedMore.
+// are present, so partial headers simply report kNeedMore. That lets a
+// server abort an upload of a progressive/CMYK/non-image file as soon as
+// the offending marker arrives instead of buffering the whole file first.
 //
-// Rejections reuse the very same segment parsers as parse_jpeg (same §6.2
-// codes, same check order), which is what lets a server abort an upload of
-// a progressive/CMYK/non-image file as soon as the offending marker
-// arrives instead of buffering the whole file first. kComplete is advisory
-// — the authoritative parse still runs on the complete buffer.
+// finish() ends the input and returns the parsed file; parse_jpeg and
+// parse_jpeg_header are nothing more than a probe finished on a whole
+// buffer.
 class JpegHeaderProbe {
  public:
   HeaderProbeStatus update(std::span<const std::uint8_t> bytes);
 
-  HeaderProbeStatus status() const { return status_; }
+  // Ends the input. `file` is the complete input: every byte update() saw,
+  // plus any that followed. Walks the rest of the header (a header the
+  // input ended inside is kNotAnImage), then locates the scan — unless
+  // `header_only`, where the input stops at the end of the SOS header.
+  // Throws ParseError with the rejection; call at most once.
+  JpegFile finish(std::vector<std::uint8_t> file, bool header_only);
+
   util::ExitCode reject_code() const { return code_; }
   const std::string& reject_reason() const { return msg_; }
-  // Offset of the first entropy-coded scan byte (valid once kComplete).
-  std::size_t scan_begin() const { return scan_begin_; }
 
  private:
-  HeaderProbeStatus reject(util::ExitCode code, std::string msg);
+  HeaderProbeStatus walk(std::span<const std::uint8_t> bytes, bool at_end);
+  void walk_markers(std::span<const std::uint8_t> bytes, bool at_end);
 
   std::size_t pos_ = 0;  // next unexamined offset (a marker boundary)
   bool have_sof_ = false;
-  std::size_t scan_begin_ = 0;
   HeaderProbeStatus status_ = HeaderProbeStatus::kNeedMore;
   util::ExitCode code_ = util::ExitCode::kSuccess;
   std::string msg_;
-  JpegFile jf_;  // accumulated table/frame state for the shared validators
+  JpegFile jf_;  // tables, frame, restart interval and scan_begin so far
 };
 
 }  // namespace lepton::jpegfmt

@@ -65,8 +65,6 @@ class ChunkCodec {
   static util::ExitCode chunk_info(std::span<const std::uint8_t> chunk,
                                    ChunkInfo* out);
 
-  std::size_t chunk_size() const { return chunk_size_; }
-
  private:
   CodecContext& context() const;
 

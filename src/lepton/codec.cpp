@@ -377,7 +377,7 @@ Result encode_jpeg_with_breakdown(std::span<const std::uint8_t> jpeg,
     auto jf = jpegfmt::parse_jpeg(jpeg);
     auto dec = jpegfmt::decode_scan(jf);
     EncodeOptions eopts = opts;
-    eopts.one_way = true;
+    eopts.force_threads = 1;
     auto plan = core::plan_whole_file(jf, dec, eopts);
     model::SectionTally tally;
     r.data = core::encode_container(jf, dec, plan, eopts, &tally,

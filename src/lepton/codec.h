@@ -39,11 +39,9 @@ struct EncodeOptions {
   // production size policy (small files get fewer threads — §5.4/Fig 7).
   int max_threads = 8;
   // Overrides the size policy with an exact segment count (benches sweep
-  // thread counts explicitly; 0 = use the policy).
+  // thread counts explicitly; 0 = use the policy). 1 is "Lepton 1-way"
+  // (§4.1): one segment over the whole image, maximum compression.
   int force_threads = 0;
-  // "Lepton 1-way" (§4.1): one segment over the whole image, maximum
-  // compression, single-threaded.
-  bool one_way = false;
   // Run segment work on real threads (false = same segmentation, serial
   // execution; useful for deterministic debugging).
   bool run_parallel = true;

@@ -327,7 +327,6 @@ util::ExitCode ContainerParser::feed(std::span<const std::uint8_t> in) {
         break;
     }
   }
-  consumed_ += i;
   return rc;
 }
 

@@ -133,9 +133,6 @@ class ContainerParser {
     return arith_;
   }
 
-  // Total bytes consumed so far (diagnostics: "truncated at byte N").
-  std::uint64_t bytes_consumed() const { return consumed_; }
-
   // Moves the parsed result out (call when complete()).
   ParsedContainer take() {
     return {std::move(header_), std::move(arith_)};
@@ -171,7 +168,6 @@ class ContainerParser {
   std::vector<std::size_t> completed_;
   std::size_t cur_seg_ = 0;
   std::size_t body_remaining_ = 0;
-  std::uint64_t consumed_ = 0;
 };
 
 // Parses and validates a complete container. Throws jpegfmt::ParseError

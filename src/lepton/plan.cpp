@@ -75,15 +75,11 @@ ContainerPlan plan_byte_range(const jpegfmt::JpegFile& jf,
                        scan.begin() + static_cast<std::ptrdiff_t>(first_off));
       }
       std::size_t nrows = r_last - r_first;
-      int threads;
-      if (opts.one_way) {
-        threads = 1;
-      } else if (opts.force_threads > 0) {
-        threads = opts.force_threads;
-      } else {
-        threads = threads_for_size(static_cast<std::size_t>(rel1 - rel0),
-                                   opts.max_threads);
-      }
+      int threads =
+          opts.force_threads > 0
+              ? opts.force_threads
+              : threads_for_size(static_cast<std::size_t>(rel1 - rel0),
+                                 opts.max_threads);
       // The format rejects containers above kMaxSegments; never plan one.
       if (threads > static_cast<int>(kMaxSegments)) {
         threads = static_cast<int>(kMaxSegments);

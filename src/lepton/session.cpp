@@ -152,20 +152,8 @@ ExitCode EncodeSession::feed(std::span<const std::uint8_t> bytes) {
   if (rc_->tripped()) return fail(ExitCode::kTimeout, "session cancelled");
   if (bytes.empty()) return ExitCode::kSuccess;
   try {
-    if (buffer_.empty() && deferred_.empty()) {
-      // Single-feed fast path (every one-shot wrapper): borrow the
-      // caller's span instead of copying a possibly multi-MB file. The
-      // copy is deferred to the next feed() call, per the header contract.
-      deferred_ = bytes;
-    } else {
-      if (!deferred_.empty()) {
-        buffer_.assign(deferred_.begin(), deferred_.end());
-        deferred_ = {};
-      }
-      buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-    }
-    if (probe_.update(pending_input()) ==
-        jpegfmt::HeaderProbeStatus::kRejected) {
+    buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+    if (probe_.update(buffer_) == jpegfmt::HeaderProbeStatus::kRejected) {
       return fail(probe_.reject_code(), probe_.reject_reason());
     }
   } catch (const std::exception& e) {
@@ -174,23 +162,17 @@ ExitCode EncodeSession::feed(std::span<const std::uint8_t> bytes) {
   return ExitCode::kSuccess;
 }
 
-std::span<const std::uint8_t> EncodeSession::pending_input() const {
-  return deferred_.empty()
-             ? std::span<const std::uint8_t>{buffer_.data(), buffer_.size()}
-             : deferred_;
-}
-
 ExitCode EncodeSession::prepare() {
-  if (prepared_) return ExitCode::kSuccess;
   try {
-    jf_ = jpegfmt::parse_jpeg(pending_input());
+    // The probe finishes the header it walked during feed(); the buffer
+    // becomes the parsed file without another copy.
+    jf_ = probe_.finish(std::move(buffer_), /*header_only=*/false);
     dec_ = jpegfmt::decode_scan(jf_);
   } catch (const jpegfmt::ParseError& e) {
     return fail(e.code(), e.what());
   } catch (const std::exception& e) {
     return fail(ExitCode::kImpossible, e.what());
   }
-  prepared_ = true;
   return ExitCode::kSuccess;
 }
 
@@ -217,10 +199,12 @@ ExitCode EncodeSession::finish_chunks(
   if (finished_) return error_;
   finished_ = true;
   if (error_ != ExitCode::kSuccess) return error_;
+  // A zero chunk size would never advance through the file.
+  if (chunk_size == 0) return fail(ExitCode::kImpossible, "chunk size 0");
   if (rc_->tripped()) return fail(ExitCode::kTimeout, "session cancelled");
   if (ExitCode c = prepare(); c != ExitCode::kSuccess) return c;
   try {
-    std::uint64_t size = pending_input().size();
+    std::uint64_t size = jf_.file.size();
     for (std::uint64_t off = 0; off < size; off += chunk_size) {
       std::uint64_t end = std::min<std::uint64_t>(off + chunk_size, size);
       auto plan =

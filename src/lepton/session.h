@@ -29,10 +29,11 @@
 //
 // EncodeSession is the same shape for compression. Encoding needs the whole
 // file before planning (§3: the production system assembles the file before
-// compressing later chunks), so feed() buffers — but it also runs a
-// resumable JPEG header probe, so files the system does not admit
+// compressing later chunks), so feed() buffers — but it also runs the
+// resumable JPEG header parser, so files the system does not admit
 // (progressive, CMYK, non-images...) are rejected mid-upload, long before
-// finish().
+// finish(). finish() completes that same parse on the buffer: the header is
+// walked once and the file copied once.
 //
 // Every whole-buffer entry point (encode_jpeg, decode_lepton, ChunkCodec,
 // TransparentStore, the baselines adapter) is a feed-everything wrapper
@@ -145,14 +146,11 @@ class EncodeSession {
 
   RunControl& control() { return *rc_; }
 
-  // Buffers the next slice of the JPEG file. The resumable header probe
-  // classifies inadmissible files (progressive, CMYK, not-an-image, ...)
-  // as soon as the offending marker arrives; the returned error is sticky.
-  //
-  // Lifetime: the fed bytes must stay valid until the *next* feed() or
-  // finish call returns. A session fed exactly once (every one-shot
-  // wrapper) borrows the caller's span and never copies the file; from the
-  // second feed on, slices are accumulated into an internal buffer.
+  // Appends the next slice of the JPEG file to the session's own buffer,
+  // so the caller may reuse `bytes` as soon as feed() returns. The header
+  // probe walks the new bytes and classifies inadmissible files
+  // (progressive, CMYK, not-an-image, ...) as soon as the offending marker
+  // arrives; the returned error is sticky.
   util::ExitCode feed(std::span<const std::uint8_t> bytes);
 
   // Compresses the buffered file into one Lepton container, appended to
@@ -161,7 +159,8 @@ class EncodeSession {
   util::ExitCode finish(ByteSink& sink);
 
   // Chunked finish (§3): one independent container per chunk_size byte
-  // range of the input, appended to `*chunks`. Same classification rules.
+  // range of the input, appended to `*chunks`. Same classification rules;
+  // a chunk_size of 0 is kImpossible.
   util::ExitCode finish_chunks(std::size_t chunk_size,
                                std::vector<std::vector<std::uint8_t>>* chunks);
 
@@ -169,23 +168,18 @@ class EncodeSession {
 
  private:
   util::ExitCode fail(util::ExitCode code, std::string msg);
-  // Shared prologue of the finish variants: probe/parse/scan-decode the
-  // buffered file. Returns kSuccess and fills jf_/dec_ once.
+  // Shared prologue of the finish variants: hands the buffer to the probe
+  // to finish the header parse, then scan-decodes. Fills jf_/dec_.
   util::ExitCode prepare();
-  // The input seen so far: the borrowed single-feed span, or the
-  // accumulation buffer once a second feed forced a copy.
-  std::span<const std::uint8_t> pending_input() const;
 
   EncodeOptions opts_;
   CodecContext& ctx_;
   RunControl own_rc_;
   RunControl* rc_;
 
-  std::vector<std::uint8_t> buffer_;
-  std::span<const std::uint8_t> deferred_;  // single-feed borrow (no copy)
+  std::vector<std::uint8_t> buffer_;  // the file so far; moved into jf_
   jpegfmt::JpegHeaderProbe probe_;
 
-  bool prepared_ = false;
   jpegfmt::JpegFile jf_;
   jpegfmt::ScanDecodeResult dec_;
 

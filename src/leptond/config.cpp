@@ -17,7 +17,9 @@ bool parse_u64(const std::string& v, std::uint64_t* out) {
   std::uint64_t n = 0;
   for (char ch : v) {
     if (ch < '0' || ch > '9') return false;
-    n = n * 10 + static_cast<std::uint64_t>(ch - '0');
+    const auto digit = static_cast<std::uint64_t>(ch - '0');
+    if (n > (UINT64_MAX - digit) / 10) return false;  // would wrap
+    n = n * 10 + digit;
   }
   *out = n;
   return true;
@@ -86,10 +88,11 @@ bool apply_option(DaemonConfig* cfg, const std::string& key,
     return parse_u64(value, &cfg->max_body_bytes) ? true : bad("bad value");
   }
   if (key == "idle-timeout-ms") {
-    if (!parse_u64(value, &cfg->idle_timeout_ms) ||
-        cfg->idle_timeout_ms == 0) {
+    std::uint64_t ms;
+    if (!parse_u64(value, &ms) || ms == 0 || ms > kMaxIdleTimeoutMs) {
       return bad("bad value");
     }
+    cfg->idle_timeout_ms = ms;
     return true;
   }
   if (key == "shutoff-file") {
@@ -252,7 +255,7 @@ std::string usage_text() {
       "  --max-in-flight N      admission bound (default 4)\n"
       "  --max-body-bytes N     per-request body cap (default 6 MiB)\n"
       "  --idle-timeout-ms N    idle window / body wall budget (default "
-      "30000)\n"
+      "30000, max 86400000)\n"
       "  --shutoff-file PATH    kill-switch file (SIGHUP re-stats it)\n"
       "  --pidfile PATH         write the daemon pid here\n"
       "  --quiet                no startup/shutdown chatter\n"

@@ -10,6 +10,10 @@
 
 namespace lepton::leptond {
 
+// idle-timeout-ms ceiling: one day. A request's body deadline is its start
+// time plus this window, so the sum must stay far from overflowing.
+inline constexpr std::uint64_t kMaxIdleTimeoutMs = 24ull * 60 * 60 * 1000;
+
 struct DaemonConfig {
   std::string config_file;           // --config (read before other flags)
   std::string listen = "tcp:127.0.0.1:2929";
@@ -17,7 +21,7 @@ struct DaemonConfig {
   int codec_threads = 0;             // CodecContext pool size; 0 = default
   int max_in_flight = 4;
   std::uint64_t max_body_bytes = 6u << 20;
-  std::uint64_t idle_timeout_ms = 30000;
+  std::uint64_t idle_timeout_ms = 30000;  // 1 .. kMaxIdleTimeoutMs
   std::string shutoff_file;          // §5.7 kill-switch file (SIGHUP re-stats)
   std::string pidfile;
   bool quiet = false;

@@ -11,9 +11,7 @@
 // the wire results byte-for-byte against the in-process codec.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,9 +20,11 @@
 #include "server/client.h"
 #include "storage/durable_store.h"
 #include "util/exit_codes.h"
+#include "util/fileio.h"
 
 namespace {
 
+namespace fileio = lepton::util::fileio;
 using lepton::server::LeptonClient;
 using lepton::server::RequestResult;
 
@@ -55,25 +55,6 @@ int usage() {
   return 2;
 }
 
-bool read_file(const std::string& path, std::vector<std::uint8_t>* out) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  std::ostringstream body;
-  body << f.rdbuf();
-  std::string s = body.str();
-  out->assign(s.begin(), s.end());
-  return true;
-}
-
-bool write_file(const std::string& path,
-                const std::vector<std::uint8_t>& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return false;
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  return f.good();
-}
-
 // 0 on success; 1 with a diagnostic otherwise.
 int check(const RequestResult& r, const char* what) {
   if (r.ok()) return 0;
@@ -86,13 +67,13 @@ int check(const RequestResult& r, const char* what) {
 int cmd_transfer(LeptonClient& cli, bool is_encode, const std::string& in,
                  const std::string& out) {
   std::vector<std::uint8_t> body;
-  if (!read_file(in, &body)) {
+  if (!fileio::read_file(in, &body)) {
     std::fprintf(stderr, "leptonctl: cannot read %s\n", in.c_str());
     return 1;
   }
   RequestResult r = is_encode ? cli.encode(body) : cli.decode(body);
   if (int rc = check(r, is_encode ? "encode" : "decode"); rc != 0) return rc;
-  if (!write_file(out, r.data)) {
+  if (!fileio::write_file_atomic(out, r.data, /*do_fsync=*/false).ok()) {
     std::fprintf(stderr, "leptonctl: cannot write %s\n", out.c_str());
     return 1;
   }

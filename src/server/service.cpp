@@ -442,11 +442,9 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
       ++stats_.oversized_rejects;
       break;
     }
-    std::vector<std::uint8_t>& buf = c.body[c.body_ix];
-    c.body_ix ^= 1;
-    buf.resize(fh.length);
+    c.body.resize(fh.length);
     if (fh.length > 0) {
-      rs = read_exact_deadline(c.fd, buf.data(), fh.length, body_deadline);
+      rs = read_exact_deadline(c.fd, c.body.data(), fh.length, body_deadline);
       if (rs == ReadStatus::kTimedOut) {
         code = ExitCode::kTimeout;
         break;
@@ -457,8 +455,8 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
       }
     }
     body_bytes += fh.length;
-    code = is_encode ? enc.feed({buf.data(), buf.size()})
-                     : dec.feed({buf.data(), buf.size()});
+    code = is_encode ? enc.feed({c.body.data(), c.body.size()})
+                     : dec.feed({c.body.data(), c.body.size()});
     if (code != ExitCode::kSuccess) break;
   }
 

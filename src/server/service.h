@@ -94,11 +94,9 @@ struct ServerStats {
 struct ServiceConn {
   int fd = -1;
   RunControl rc;
-  // Alternating body buffers: EncodeSession::feed borrows its first slice
-  // until the *next* feed returns (session.h lifetime contract), so the
-  // frame we just fed must stay intact while the next one is read.
-  std::vector<std::uint8_t> body[2];
-  int body_ix = 0;
+  // The DATA frame being read. Sessions copy what they keep, so each frame
+  // reuses this one buffer.
+  std::vector<std::uint8_t> body;
 };
 
 class RequestService {

@@ -28,7 +28,6 @@ enum class OutsourcePolicy { kControl, kToSelf, kToDedicated };
 struct FleetConfig {
   int blockservers = 128;
   int dedicated = 12;           // Lepton-only machines (To-Dedicated)
-  int cores_per_server = 16;    // §5.5
   OutsourcePolicy policy = OutsourcePolicy::kControl;
   int threshold = 4;            // outsource if > threshold-1 concurrent (§5.5)
   double outsource_overhead = 0.079;  // §5.5: 7.9%

@@ -187,7 +187,7 @@ TEST(ContextPlane, MatchesReferenceAcrossSegmentation) {
     expect_plane_identical(ctx, jpeg, base, "forced threads");
   }
   lepton::EncodeOptions one_way;
-  one_way.one_way = true;
+  one_way.force_threads = 1;
   expect_plane_identical(ctx, jpeg, one_way, "one-way");
 }
 

@@ -2,15 +2,19 @@
 // files, the parser + scan decoder take them apart, and the scan encoder
 // must reproduce the original bytes exactly — including mid-file handover
 // splits, which is the property Lepton's multithreaded decode rests on.
+// The header sweep drives the one marker walk through every header prefix
+// and single-byte header mutation, whole-buffer and streamed.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "corpus/corpus.h"
 #include "jpeg/dct.h"
 #include "jpeg/jfif_builder.h"
 #include "jpeg/parser.h"
 #include "jpeg/scan_decoder.h"
 #include "jpeg/scan_encoder.h"
+#include "lepton/session.h"
 #include "util/rng.h"
 
 namespace jf = lepton::jpegfmt;
@@ -197,6 +201,127 @@ TEST(Parser, GeometryInterleaved420) {
   EXPECT_EQ(parsed.frame.mcus_y, 4);   // ceil(60/16)
   EXPECT_EQ(parsed.frame.comps[0].width_blocks, 14);
   EXPECT_EQ(parsed.frame.comps[1].width_blocks, 7);
+}
+
+// ---- Header sweep: every prefix and single-byte mutation --------------------
+
+namespace {
+
+// A builder file with a DRI segment of 5 MCUs.
+std::vector<std::uint8_t> dri_jpeg() {
+  jf::JfifOptions opt;
+  opt.restart_interval_mcus = 5;
+  return jf::build_jfif(test_image(48, 40, 3, 29), opt);
+}
+
+// Two corpus files (EXIF-style COM headers) and dri_jpeg().
+std::vector<std::vector<std::uint8_t>> header_sweep_files() {
+  lepton::corpus::CorpusOptions opts;
+  opts.valid_files = 2;
+  opts.min_bytes = 8 << 10;
+  opts.max_bytes = 16 << 10;
+  opts.include_anomalies = false;
+  std::vector<std::vector<std::uint8_t>> files;
+  for (auto& f : lepton::corpus::build_corpus(opts)) {
+    files.push_back(std::move(f.bytes));
+  }
+  files.push_back(dri_jpeg());
+  return files;
+}
+
+ExitCode parse_code(std::span<const std::uint8_t> bytes, bool header_only) {
+  try {
+    if (header_only) {
+      (void)jf::parse_jpeg_header(bytes);
+    } else {
+      (void)jf::parse_jpeg(bytes);
+    }
+    return ExitCode::kSuccess;
+  } catch (const jf::ParseError& e) {
+    return e.code();
+  }
+}
+
+// Sessions never throw; any classification they make is returned.
+ExitCode bytewise_session_code(const std::vector<std::uint8_t>& file) {
+  lepton::EncodeSession session;
+  for (std::uint8_t b : file) {
+    ExitCode code = session.feed({&b, 1});
+    if (code != ExitCode::kSuccess) return code;
+  }
+  lepton::VectorSink sink;
+  return session.finish(sink);
+}
+
+}  // namespace
+
+TEST(Parser, EveryProperHeaderPrefixIsNotAnImage) {
+  for (const auto& file : header_sweep_files()) {
+    const std::size_t scan_begin =
+        jf::parse_jpeg({file.data(), file.size()}).scan_begin;
+    for (std::size_t len = 0; len < scan_begin; ++len) {
+      ASSERT_EQ(parse_code({file.data(), len}, false), ExitCode::kNotAnImage)
+          << "prefix of " << len << " bytes (scan_begin " << scan_begin
+          << ")";
+    }
+  }
+}
+
+TEST(Parser, HeaderMutationsClassifyAlikeWholeAndStreamed) {
+  static const std::uint8_t kValues[] = {0x00, 0x01, 0xC0, 0xC2, 0xC4,
+                                         0xD0, 0xD8, 0xD9, 0xDA, 0xDB,
+                                         0xDD, 0xDE, 0xFE, 0xFF};
+  std::size_t rejected = 0;
+  for (const auto& file : header_sweep_files()) {
+    const std::size_t scan_begin =
+        jf::parse_jpeg({file.data(), file.size()}).scan_begin;
+    std::vector<std::uint8_t> mutated = file;
+    for (std::size_t i = 0; i < scan_begin; ++i) {
+      for (std::uint8_t v : kValues) {
+        if (file[i] == v) continue;
+        mutated[i] = v;
+        // Neither parse may crash or throw anything but a ParseError; the
+        // header-only parse sees what a container embeds.
+        ExitCode whole = parse_code({mutated.data(), mutated.size()}, false);
+        (void)parse_code({mutated.data(), scan_begin}, true);
+        if (whole != ExitCode::kSuccess) {
+          ++rejected;
+          ASSERT_EQ(bytewise_session_code(mutated), whole)
+              << "byte " << i << " set to " << static_cast<int>(v);
+        }
+      }
+      mutated[i] = file[i];
+    }
+  }
+  EXPECT_GT(rejected, 1000u) << "the sweep must reach the rejection paths";
+}
+
+TEST(Parser, CutShortSegmentIsClassifiedByTheBytesPresent) {
+  // A CMYK file cut inside its SOF segment, after the component count: the
+  // bytes present already say CMYK, so the truncation does not hide it —
+  // whole-buffer, header-only or streamed.
+  auto file = jf::build_jfif(test_image(32, 32, 3, 2), {});
+  for (std::size_t i = 0; i + 9 < file.size(); ++i) {
+    if (file[i] == 0xFF && file[i + 1] == 0xC0) {
+      file[i + 9] = 4;  // component count
+      file.resize(i + 10);
+      break;
+    }
+  }
+  EXPECT_EQ(parse_code({file.data(), file.size()}, false), ExitCode::kCmyk);
+  EXPECT_EQ(parse_code({file.data(), file.size()}, true), ExitCode::kCmyk);
+  EXPECT_EQ(bytewise_session_code(file), ExitCode::kCmyk);
+}
+
+TEST(Parser, HeaderParseRecordsRestartInterval) {
+  // Every container decode parses the embedded header alone; a scan with
+  // restart markers decodes only if that parse keeps the DRI interval.
+  const auto file = dri_jpeg();
+  auto whole = jf::parse_jpeg({file.data(), file.size()});
+  EXPECT_EQ(whole.restart_interval, 5);
+  auto header = jf::parse_jpeg_header(whole.header_bytes());
+  EXPECT_EQ(header.restart_interval, 5);
+  EXPECT_EQ(header.scan_begin, whole.scan_begin);
 }
 
 // ---- Byte-exact scan round trips -------------------------------------------

@@ -60,7 +60,7 @@ std::vector<std::uint8_t> read_fixture(const char* name) {
 
 struct CodecCase {
   int w, h, threads, dri;
-  bool one_way;
+  int force_threads;  // 0 = size policy; 1 = "Lepton 1-way"
   jf::Subsampling sub;
 };
 
@@ -75,7 +75,7 @@ TEST_P(LeptonRoundTrip, ExactBytes) {
 
   lepton::EncodeOptions opt;
   opt.max_threads = p.threads;
-  opt.one_way = p.one_way;
+  opt.force_threads = p.force_threads;
   auto enc = lepton::encode_jpeg({file.data(), file.size()}, opt);
   ASSERT_TRUE(enc.ok()) << enc.message;
   EXPECT_LT(enc.data.size(), file.size()) << "must actually compress";
@@ -89,16 +89,16 @@ TEST_P(LeptonRoundTrip, ExactBytes) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LeptonRoundTrip,
     ::testing::Values(
-        CodecCase{96, 96, 1, 0, false, jf::Subsampling::k420},
-        CodecCase{96, 96, 2, 0, false, jf::Subsampling::k420},
-        CodecCase{256, 256, 4, 0, false, jf::Subsampling::k420},
-        CodecCase{256, 192, 8, 0, false, jf::Subsampling::k444},
-        CodecCase{256, 192, 8, 0, false, jf::Subsampling::k422},
-        CodecCase{200, 600, 8, 5, false, jf::Subsampling::k420},
-        CodecCase{200, 600, 8, 1, false, jf::Subsampling::k444},
-        CodecCase{320, 240, 4, 0, true, jf::Subsampling::k420},
-        CodecCase{17, 9, 8, 0, false, jf::Subsampling::k420},
-        CodecCase{8, 8, 1, 0, false, jf::Subsampling::k444}));
+        CodecCase{96, 96, 1, 0, 0, jf::Subsampling::k420},
+        CodecCase{96, 96, 2, 0, 0, jf::Subsampling::k420},
+        CodecCase{256, 256, 4, 0, 0, jf::Subsampling::k420},
+        CodecCase{256, 192, 8, 0, 0, jf::Subsampling::k444},
+        CodecCase{256, 192, 8, 0, 0, jf::Subsampling::k422},
+        CodecCase{200, 600, 8, 5, 0, jf::Subsampling::k420},
+        CodecCase{200, 600, 8, 1, 0, jf::Subsampling::k444},
+        CodecCase{320, 240, 4, 0, 1, jf::Subsampling::k420},
+        CodecCase{17, 9, 8, 0, 0, jf::Subsampling::k420},
+        CodecCase{8, 8, 1, 0, 0, jf::Subsampling::k444}));
 
 TEST(LeptonCodec, GrayscaleRoundTrip) {
   auto file = make_jpeg(300, 200, 42, {}, 1);
@@ -168,7 +168,7 @@ TEST(LeptonCodec, OneWayCompressesBetterThanEightWay) {
   // compression. 1-way must beat 8-way on the same file.
   auto file = make_jpeg(512, 512, 47);
   lepton::EncodeOptions one;
-  one.one_way = true;
+  one.force_threads = 1;
   lepton::EncodeOptions eight;
   eight.force_threads = 8;
   auto a = lepton::encode_jpeg({file.data(), file.size()}, one);

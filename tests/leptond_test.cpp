@@ -24,6 +24,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -260,6 +261,41 @@ TEST(DaemonConfig, RetiredDecodeCacheOptionIsRejected) {
       << err;
   EXPECT_EQ(ld::usage_text().find("cache"), std::string::npos)
       << ld::usage_text();
+}
+
+// A number past 2^64 is rejected, never wrapped ("workers
+// 18446744073709551618" must not run 2 workers), and the idle window has a
+// ceiling: past 2^63 ms it goes negative as std::chrono::milliseconds and
+// every body read would time out.
+TEST(DaemonConfig, OverflowingValuesAreRejected) {
+  namespace ld = lepton::leptond;
+  const std::pair<const char*, const char*> rejected[] = {
+      {"workers", "18446744073709551618"},
+      {"max-body-bytes", "18446744073709551617"},
+      {"idle-timeout-ms", "18446744073709551617"},
+      {"idle-timeout-ms", "9223372036854775808"},
+      {"idle-timeout-ms", "86400001"},  // one past the one-day ceiling
+  };
+  for (const auto& [key, value] : rejected) {
+    ld::DaemonConfig cfg;
+    std::string err;
+    EXPECT_FALSE(ld::apply_option(&cfg, key, value, &err))
+        << key << " " << value;
+    EXPECT_NE(err.find("bad value"), std::string::npos) << err;
+    EXPECT_EQ(cfg.workers, ld::DaemonConfig{}.workers);
+    EXPECT_EQ(cfg.max_body_bytes, ld::DaemonConfig{}.max_body_bytes);
+    EXPECT_EQ(cfg.idle_timeout_ms, ld::DaemonConfig{}.idle_timeout_ms);
+  }
+
+  ld::DaemonConfig cfg;
+  std::string err;
+  ASSERT_TRUE(ld::apply_option(&cfg, "max-body-bytes",
+                               "18446744073709551615", &err))
+      << err;
+  EXPECT_EQ(cfg.max_body_bytes, UINT64_MAX);
+  ASSERT_TRUE(ld::apply_option(&cfg, "idle-timeout-ms", "86400000", &err))
+      << err;
+  EXPECT_EQ(cfg.idle_timeout_ms, ld::kMaxIdleTimeoutMs);
 }
 
 // Regression: a daemon killed uncleanly (SIGKILL/OOM) leaves its pidfile

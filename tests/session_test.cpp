@@ -763,6 +763,22 @@ TEST(EncodeSession, ProbeMatchesOneShotClassification) {
   }
 }
 
+// A zero chunk size never advances through the file: it must be refused
+// before a single empty-range container is appended.
+TEST(EncodeSession, ZeroChunkSizeIsClassified) {
+  auto file = make_jpeg(64, 64, 920);
+  lepton::EncodeSession session;
+  ASSERT_EQ(session.feed({file.data(), file.size()}), ExitCode::kSuccess);
+  std::vector<std::vector<std::uint8_t>> chunks;
+  EXPECT_EQ(session.finish_chunks(0, &chunks), ExitCode::kImpossible);
+  EXPECT_TRUE(chunks.empty());
+
+  lepton::ChunkCodec zero({}, 0);
+  auto set = zero.encode_chunks({file.data(), file.size()});
+  EXPECT_EQ(set.code, ExitCode::kImpossible);
+  EXPECT_TRUE(set.chunks.empty());
+}
+
 // ---- satellite plumbing -----------------------------------------------------
 
 TEST(ChunkCodec, DecodeChunkThreadsDecodeStats) {
