@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     double savings =
         100.0 * (1.0 - static_cast<double>(enc.data.size()) / f.bytes.size());
     std::printf("%12.1f %9.1f%% %9d\n", f.bytes.size() / 1024.0, savings,
-                lepton::threads_for_size(f.bytes.size(), 8));
+                lepton::threads_for_size(f.bytes.size()));
   }
   return 0;
 }

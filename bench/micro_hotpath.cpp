@@ -1,7 +1,7 @@
 // Hot-path microbench: measures the primitives rewritten by the
 // performance overhauls (batched 64-bit bit reader, bool-coder adaptive and
-// literal paths, the encode-side context-plane pipeline) against in-binary
-// per-bit / per-block reference implementations, attributes the levers
+// literal paths, the encode-side context-plane pipeline), the first two
+// against in-binary per-bit reference implementations, attributes the levers
 // separately (bin cluster layout, SIMD Huffman re-encode, AVX2 IDCT pass,
 // fused-refill scan parse, plane precompute, plane-fed model loop), and
 // reports single-thread whole-codec encode/decode throughput and the corpus
@@ -240,16 +240,13 @@ ReencodeRates reencode_lever(const std::vector<std::uint8_t>& jpeg) {
 // The staged encode pipeline's three stages, attributed separately:
 // the fused-refill Huffman scan parse (MB/s over the real scan bytes),
 // the context-plane precompute (Mblocks/s over the decoded coefficient
-// images), and the plane-fed vs derive-in-loop adaptive model loop
-// (Mvalues/s over the same segment encode — identical byte output, the
-// plane path consumes precomputed buckets).
+// images), and the plane-fed adaptive model loop (Mvalues/s over one
+// segment encode per file).
 
 struct EncodePathRates {
   double parse_mbps;
   double plane_precompute_mblocks;
   double model_plane_mvals;
-  double model_ref_mvals;
-  double model_plane_mblocks;
 };
 
 // Coded values per block (count trees + coded coefficients + DC): the
@@ -333,32 +330,24 @@ EncodePathRates encode_path_levers(
     }
   });
 
-  // Stage 3: the whole model loop (one segment over the image), plane-fed
-  // vs derive-in-loop. Identical byte output; only context derivation
-  // moves.
-  auto model_encode = [&](bool use_plane) {
-    auto pm = std::make_unique<lm::ProbabilityModel>();
-    std::vector<std::uint8_t> buf;
-    return best_of(5, [&] {
-      for (std::size_t fi = 0; fi < jfs.size(); ++fi) {
-        pm->reset();
-        lepton::coding::BoolEncoder enc(&buf);
-        lm::SegmentCodec<lepton::coding::EncodeOps> codec(
-            lepton::coding::EncodeOps{&enc}, *pm, jfs[fi], mo);
-        if (use_plane) codec.attach_plane(&plane);
-        for (int my = 0; my < jfs[fi].frame.mcus_y; ++my) {
-          codec.code_mcu_row(my, &decs[fi].coeffs);
-        }
-        enc.finish_into_buffer();
-        keep(buf.size());
+  // Stage 3: the whole plane-fed model loop (one segment over the image).
+  auto pm = std::make_unique<lm::ProbabilityModel>();
+  std::vector<std::uint8_t> buf;
+  double tp = best_of(5, [&] {
+    for (std::size_t fi = 0; fi < jfs.size(); ++fi) {
+      pm->reset();
+      lepton::coding::BoolEncoder enc(&buf);
+      lm::SegmentCodec<lepton::coding::EncodeOps> codec(
+          lepton::coding::EncodeOps{&enc}, *pm, jfs[fi], mo);
+      codec.attach_plane(&plane);
+      for (int my = 0; my < jfs[fi].frame.mcus_y; ++my) {
+        codec.code_mcu_row(my, &decs[fi].coeffs);
       }
-    });
-  };
-  double tp = model_encode(true);
-  double tr = model_encode(false);
+      enc.finish_into_buffer();
+      keep(buf.size());
+    }
+  });
   r.model_plane_mvals = values / 1e6 / tp;
-  r.model_ref_mvals = values / 1e6 / tr;
-  r.model_plane_mblocks = blocks / 1e6 / tp;
   return r;
 }
 
@@ -456,10 +445,7 @@ int main(int argc, char** argv) {
   }
   lepton::CodecContext ctx(1);
   lepton::EncodeOptions eopt;
-  eopt.force_threads = 1;
-  eopt.run_parallel = false;
-  lepton::DecodeOptions dopt;
-  dopt.run_parallel = false;
+  eopt.force_threads = 1;  // one segment: runs on the calling thread
 
   std::vector<std::vector<std::uint8_t>> encoded;
   std::size_t encoded_total = 0;
@@ -480,7 +466,7 @@ int main(int argc, char** argv) {
   });
   double ds = best_of(5, [&] {
     for (const auto& e : encoded) {
-      auto d = ctx.decode({e.data(), e.size()}, dopt);
+      auto d = ctx.decode({e.data(), e.size()});
       if (!d.ok()) std::abort();
     }
   });
@@ -508,22 +494,8 @@ int main(int argc, char** argv) {
   std::printf("scan parse      : fused refills %6.2f MB/s\n", ep.parse_mbps);
   std::printf("context plane   : precompute %5.2f Mblocks/s\n",
               ep.plane_precompute_mblocks);
-  std::printf("model loop      : plane %5.2f / derive-in-loop %5.2f Mvalues/s (%.2fx)\n",
-              ep.model_plane_mvals, ep.model_ref_mvals,
-              ep.model_plane_mvals / ep.model_ref_mvals);
-
-  // ---- whole-encode with the plane off: the pipeline's end-to-end lever ----
-  lepton::EncodeOptions eoff = eopt;
-  eoff.use_context_plane = false;
-  double es_ref = best_of(5, [&] {
-    for (const auto& f : files) {
-      auto e = ctx.encode({f.data(), f.size()}, eoff);
-      if (!e.ok()) std::abort();
-    }
-  });
-  double enc_ref_mbps = mb / es_ref;
-  std::printf("encode pipeline : plane %5.2f / reference %5.2f MB/s   (%.2fx)\n",
-              enc_mbps, enc_ref_mbps, enc_mbps / enc_ref_mbps);
+  std::printf("model loop      : plane %5.2f Mvalues/s\n",
+              ep.model_plane_mvals);
 
   std::vector<std::string> entries =
       bench::read_trajectory_entries(out_path, pr, "hotpath");
@@ -558,11 +530,7 @@ int main(int argc, char** argv) {
                "  \"encode_parse_MBps\": %.2f,\n"
                "  \"plane_precompute_Mblocks\": %.2f,\n"
                "  \"model_loop_plane_Mvals\": %.2f,\n"
-               "  \"model_loop_ref_Mvals\": %.2f,\n"
-               "  \"model_loop_speedup\": %.3f,\n"
                "  \"encode_plane_MBps\": %.2f,\n"
-               "  \"encode_reference_MBps\": %.2f,\n"
-               "  \"encode_plane_speedup\": %.3f,\n"
                "  \"corpus_ratio_v2\": %.4f,\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"simd_level\": \"%s\",\n"
@@ -581,9 +549,8 @@ int main(int argc, char** argv) {
                lay.clustered_mvals / lay.scattered_mvals, re.simd_mbps,
                re.scalar_mbps, re.simd_mbps / re.scalar_mbps, idct.simd_ns,
                idct.scalar_ns, idct.scalar_ns / idct.simd_ns, ep.parse_mbps,
-               ep.plane_precompute_mblocks, ep.model_plane_mvals,
-               ep.model_ref_mvals, ep.model_plane_mvals / ep.model_ref_mvals,
-               enc_mbps, enc_ref_mbps, enc_mbps / enc_ref_mbps, corpus_ratio,
+               ep.plane_precompute_mblocks, ep.model_plane_mvals, enc_mbps,
+               corpus_ratio,
                bench::hardware_concurrency(),
                lepton::util::simd_level_name(lepton::util::detected_simd()),
                enc_mbps, dec_mbps, combined, files.size(), mb);

@@ -27,10 +27,8 @@ class LeptonCodecAdapter : public Codec {
     return {code, std::move(sink.data)};
   }
   CodecResult decode(std::span<const std::uint8_t> input) override {
-    DecodeOptions d;
-    d.run_parallel = !one_way_;
     VectorSink sink;
-    DecodeSession session(sink, d);
+    DecodeSession session(sink);
     session.feed(input);
     auto code = session.finish();
     return {code, std::move(sink.data)};

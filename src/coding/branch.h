@@ -73,11 +73,6 @@ class Branch {
     bits_ = c | (static_cast<std::uint32_t>(detail::kProbZero.p[c]) << 16);
   }
 
-  std::uint16_t observations() const {
-    return static_cast<std::uint16_t>((bits_ & 0xFF) + ((bits_ >> 8) & 0xFF) -
-                                      2);
-  }
-
  private:
   // ones << 8 | zeros in the low half (1/1 == 50-50 prior), kProbZero of
   // those counts in bits 16..23, top byte zero.

@@ -91,7 +91,6 @@ class StuffedBitReader {
     return static_cast<std::uint8_t>(b & ~((1u << (8 - p.bit_off)) - 1u));
   }
 
-  bool byte_aligned() const { return consumed_ % 8 == 0; }
   int bits_into_byte() const { return static_cast<int>(consumed_ % 8); }
 
   // If the next bytes are an RST marker with the expected index, consume it

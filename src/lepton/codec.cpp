@@ -34,18 +34,11 @@ std::size_t decode_working_set(const jpegfmt::JpegFile& hdr,
 
 }  // namespace
 
-int threads_for_size(std::size_t bytes, int max_threads) {
-  int t;
-  if (bytes < 128u << 10) {
-    t = 1;
-  } else if (bytes < 512u << 10) {
-    t = 2;
-  } else if (bytes < 3u << 20) {
-    t = 4;
-  } else {
-    t = 8;
-  }
-  return t < max_threads ? t : (max_threads < 1 ? 1 : max_threads);
+int threads_for_size(std::size_t bytes) {
+  if (bytes < 128u << 10) return 1;
+  if (bytes < 512u << 10) return 2;
+  if (bytes < 3u << 20) return 4;
+  return 8;
 }
 
 namespace core {
@@ -98,7 +91,7 @@ std::vector<std::uint8_t> encode_container(const jpegfmt::JpegFile& jf,
                                                    scratch.fresh_model(), jf,
                                                    opts.model,
                                                    &scratch.rings());
-      if (opts.use_context_plane) codec.attach_plane(&scratch.plane());
+      codec.attach_plane(&scratch.plane());
       if (tally != nullptr && nseg == 1) {
         codec.set_tally(tally);
       }
@@ -118,8 +111,7 @@ std::vector<std::uint8_t> encode_container(const jpegfmt::JpegFile& jf,
       error_code.store(static_cast<int>(ExitCode::kImpossible));
     }
   };
-  ctx.parallel_run(static_cast<int>(nseg), opts.run_parallel, rc,
-                   encode_segment);
+  ctx.parallel_run(static_cast<int>(nseg), rc, encode_segment);
   if (error_code.load() >= 0) {
     throw jpegfmt::ParseError(static_cast<ExitCode>(error_code.load()),
                               "segment encode failed");
@@ -256,7 +248,6 @@ SegmentRunner::SegmentRunner(const ContainerHeader& h,
       ctx_(ctx),
       flags_(flags),
       rc_(opts.run),
-      parallel_(opts.run_parallel),
       em_(sink, h.segments.size()),
       claims_(std::make_shared<Claims>(h.segments.size())),
       started_(h.segments.size(), 0),
@@ -278,7 +269,7 @@ void SegmentRunner::start(std::size_t seg,
   started_[seg] = 1;
   arith_[seg] = arith;
   ++n_started_;
-  if (!parallel_ || ctx_.pool().size() == 0) {
+  if (ctx_.pool().size() == 0) {
     claim(seg);
     run_one(seg, tripped());
     return;
@@ -306,7 +297,7 @@ void SegmentRunner::wait() {
   for (std::size_t seg = 0; seg < started_.size(); ++seg) {
     if (started_[seg] != 0 && !claims_->taken[seg].load()) todo.push_back(seg);
   }
-  ctx_.parallel_run(static_cast<int>(todo.size()), parallel_, rc_,
+  ctx_.parallel_run(static_cast<int>(todo.size()), rc_,
                     [&](int k, bool tripped) {
                       std::size_t seg = todo[static_cast<std::size_t>(k)];
                       if (claim(seg)) run_one(seg, tripped);

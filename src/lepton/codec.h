@@ -35,30 +35,22 @@ struct Result {
 };
 
 struct EncodeOptions {
-  // Maximum thread segments per container; the actual count follows the
-  // production size policy (small files get fewer threads — §5.4/Fig 7).
-  int max_threads = 8;
-  // Overrides the size policy with an exact segment count (benches sweep
-  // thread counts explicitly; 0 = use the policy). 1 is "Lepton 1-way"
-  // (§4.1): one segment over the whole image, maximum compression.
+  // Overrides the production size policy (threads_for_size: small files
+  // get fewer segments — §5.4/Fig 7) with an exact segment count (benches
+  // sweep thread counts explicitly; 0 = use the policy). 1 is "Lepton
+  // 1-way" (§4.1): one segment over the whole image, maximum compression.
+  // Where the segments run is the CodecContext's business: a context with
+  // zero workers runs every segment on the calling thread.
   int force_threads = 0;
-  // Run segment work on real threads (false = same segmentation, serial
-  // execution; useful for deterministic debugging).
-  bool run_parallel = true;
   // Optional cancellation/deadline control, polled by the segment workers
   // at MCU-row granularity (run_control.h). Non-owning: must outlive the
   // call. Sessions wire their own control in here; a trip classifies the
   // run as kTimeout.
   RunControl* run = nullptr;
-  // Staged encode pipeline (context-plane precompute + plane-fed coder
-  // loop). Byte-streams are identical either way; false runs the per-block
-  // reference path (fuzz baseline, perf attribution).
-  bool use_context_plane = true;
   model::ModelOptions model;
 };
 
 struct DecodeOptions {
-  bool run_parallel = true;
   // Same contract as EncodeOptions::run.
   RunControl* run = nullptr;
 };
@@ -125,8 +117,8 @@ class TimingSink : public ByteSink {
 };
 
 // Number of thread segments the production policy assigns to `bytes` of
-// input (the visible cutoffs in Figures 7/8).
-int threads_for_size(std::size_t bytes, int max_threads);
+// input (the visible cutoffs in Figures 7/8), at most the §5.4 maximum of 8.
+int threads_for_size(std::size_t bytes);
 
 // Compresses a baseline JPEG into a single Lepton container. Failures are
 // classified, never thrown. The two-argument form runs on the process-wide

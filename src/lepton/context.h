@@ -86,18 +86,13 @@ class CodecContext {
   // dispatch — a segment of a cancelled/expired session observes it before
   // doing any work and fails fast as kTimeout, so one tripped session stops
   // scheduling real work without affecting other sessions sharing this
-  // context. `rc` may be null (never tripped). When `parallel` is false the
-  // same dispatch runs as a serial loop on the calling thread.
+  // context. `rc` may be null (never tripped). A context with zero workers
+  // runs the whole batch as a serial loop on the calling thread.
   template <typename Fn>
-  void parallel_run(int n, bool parallel, const RunControl* rc, Fn&& fn) {
-    auto dispatch = [rc, &fn](int i) {
+  void parallel_run(int n, const RunControl* rc, Fn&& fn) {
+    pool_.parallel_run(n, [rc, &fn](int i) {
       fn(i, rc != nullptr && rc->tripped());
-    };
-    if (parallel) {
-      pool_.parallel_run(n, dispatch);
-    } else {
-      for (int i = 0; i < n; ++i) dispatch(i);
-    }
+    });
   }
 
   // RAII lease of a scratch block; returns it to the context on destruction.

@@ -78,8 +78,7 @@ ContainerPlan plan_byte_range(const jpegfmt::JpegFile& jf,
       int threads =
           opts.force_threads > 0
               ? opts.force_threads
-              : threads_for_size(static_cast<std::size_t>(rel1 - rel0),
-                                 opts.max_threads);
+              : threads_for_size(static_cast<std::size_t>(rel1 - rel0));
       // The format rejects containers above kMaxSegments; never plan one.
       if (threads > static_cast<int>(kMaxSegments)) {
         threads = static_cast<int>(kMaxSegments);

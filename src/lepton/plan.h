@@ -172,8 +172,8 @@ class SegmentRunner {
   SegmentRunner& operator=(const SegmentRunner&) = delete;
 
   // Decodes segment `seg`, whose stream `arith` is complete, in the
-  // background on the pool — or inline on the caller when
-  // opts.run_parallel is false or the pool has no workers.
+  // background on the pool — or inline on the caller when the pool has no
+  // workers.
   void start(std::size_t seg, std::span<const std::uint8_t> arith);
 
   // Starts every segment not yet started (`arith` holds every segment's
@@ -182,8 +182,8 @@ class SegmentRunner {
   util::ExitCode run_rest(const std::vector<std::vector<std::uint8_t>>& arith);
 
   // Runs the started segments no pool thread has picked up yet — on the
-  // pool when opts.run_parallel, the calling thread participating — and
-  // waits until every started segment has finished.
+  // pool, the calling thread participating — and waits until every started
+  // segment has finished.
   void wait();
 
   // The code of the lowest-index failing segment once every segment below
@@ -208,7 +208,6 @@ class SegmentRunner {
   CodecContext& ctx_;
   DecodeRunFlags* flags_;
   const RunControl* rc_;
-  const bool parallel_;
   OrderedEmitter em_;
   std::shared_ptr<Claims> claims_;
 

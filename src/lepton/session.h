@@ -91,13 +91,13 @@ class DecodeSession {
   util::ExitCode feed(std::span<const std::uint8_t> bytes);
 
   // Ends the input stream: decodes every segment not yet handed off (in
-  // parallel on the context's pool when opts.run_parallel, the calling
-  // thread helping), waits for the handed-off ones — on every path, so a
-  // failed stream's started segments still report their consumption facts
-  // — emits the suffix, and returns the final §6.2 classification. An
-  // input stream that ended before the bytes its header promised is
-  // kShortRead; a tripped RunControl is kTimeout. Idempotent. `stats`
-  // (optional) receives payload-consumption facts.
+  // parallel on the context's pool, the calling thread helping), waits for
+  // the handed-off ones — on every path, so a failed stream's started
+  // segments still report their consumption facts — emits the suffix, and
+  // returns the final §6.2 classification. An input stream that ended
+  // before the bytes its header promised is kShortRead; a tripped
+  // RunControl is kTimeout. Idempotent. `stats` (optional) receives
+  // payload-consumption facts.
   util::ExitCode finish(DecodeStats* stats = nullptr);
 
   // Segments handed to the pool mid-stream (their decode may still run):

@@ -36,10 +36,10 @@ void QualificationRunner::run_file(std::span<const std::uint8_t> file,
   }
 
   // Decode #2: independent schedule (the gcc/asan single-threaded build in
-  // production, §5.2/§5.6); decode #1 reproduced `file`, so #2 must too.
-  DecodeOptions ser;
-  ser.run_parallel = false;
-  Result d2 = decode_lepton({enc.data.data(), enc.data.size()}, ser);
+  // production, §5.2/§5.6) — every segment serially on the calling thread,
+  // on the runner's zero-worker context; decode #1 reproduced `file`, so #2
+  // must too.
+  Result d2 = serial_.decode({enc.data.data(), enc.data.size()});
   if (mutator_) mutator_(d2.data);
   if (!d2.ok() || !std::equal(d2.data.begin(), d2.data.end(), file.begin(),
                               file.end())) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "lepton/codec.h"
+#include "lepton/context.h"
 
 namespace lepton {
 
@@ -50,6 +51,7 @@ class QualificationRunner {
 
  private:
   EncodeOptions opts_;
+  CodecContext serial_{0};  // decode #2's schedule: no pool workers
   std::function<void(std::vector<std::uint8_t>&)> mutator_;
 };
 

@@ -25,13 +25,6 @@ bool parse_u64(const std::string& v, std::uint64_t* out) {
   return true;
 }
 
-bool parse_int(const std::string& v, int* out) {
-  std::uint64_t n;
-  if (!parse_u64(v, &n) || n > 1u << 20) return false;
-  *out = static_cast<int>(n);
-  return true;
-}
-
 bool parse_bool(const std::string& v, bool* out) {
   if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on") {
     *out = true;
@@ -67,21 +60,11 @@ bool apply_option(DaemonConfig* cfg, const std::string& key,
     return true;
   }
   if (key == "workers") {
-    if (!parse_int(value, &cfg->workers) || cfg->workers < 1) {
+    std::uint64_t n;
+    if (!parse_u64(value, &n) || n < 1 || n > kMaxWorkers) {
       return bad("bad value");
     }
-    return true;
-  }
-  if (key == "codec-threads") {
-    if (!parse_int(value, &cfg->codec_threads) || cfg->codec_threads < 0) {
-      return bad("bad value");
-    }
-    return true;
-  }
-  if (key == "max-in-flight") {
-    if (!parse_int(value, &cfg->max_in_flight) || cfg->max_in_flight < 1) {
-      return bad("bad value");
-    }
+    cfg->workers = static_cast<int>(n);
     return true;
   }
   if (key == "max-body-bytes") {
@@ -250,9 +233,8 @@ std::string usage_text() {
       "  --config FILE          key=value config file (flags override it)\n"
       "  --listen ENDPOINT      tcp:host:port | unix:/path (default "
       "tcp:127.0.0.1:2929)\n"
-      "  --workers N            event-plane worker pool size (default 4)\n"
-      "  --codec-threads N      CodecContext pool threads (0 = default)\n"
-      "  --max-in-flight N      admission bound (default 4)\n"
+      "  --workers N            requests served at once (default 4, max "
+      "256)\n"
       "  --max-body-bytes N     per-request body cap (default 6 MiB)\n"
       "  --idle-timeout-ms N    idle window / body wall budget (default "
       "30000, max 86400000)\n"

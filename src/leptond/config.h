@@ -14,12 +14,18 @@ namespace lepton::leptond {
 // time plus this window, so the sum must stay far from overflowing.
 inline constexpr std::uint64_t kMaxIdleTimeoutMs = 24ull * 60 * 60 * 1000;
 
+// workers ceiling. The worker pool is the daemon's one concurrency bound and
+// EventServer::start() spawns every worker up front, each able to hold one
+// conversion's coefficient image (up to the 178 MiB scan gate). 256 is far
+// above any core count the pool is sized from, and far below the thread
+// count at which a mistyped value would exhaust the box or make std::thread
+// throw.
+inline constexpr int kMaxWorkers = 256;
+
 struct DaemonConfig {
   std::string config_file;           // --config (read before other flags)
   std::string listen = "tcp:127.0.0.1:2929";
-  int workers = 4;                   // event plane's fixed worker pool
-  int codec_threads = 0;             // CodecContext pool size; 0 = default
-  int max_in_flight = 4;
+  int workers = 4;                   // event plane's pool, 1 .. kMaxWorkers
   std::uint64_t max_body_bytes = 6u << 20;
   std::uint64_t idle_timeout_ms = 30000;  // 1 .. kMaxIdleTimeoutMs
   std::string shutoff_file;          // §5.7 kill-switch file (SIGHUP re-stats)

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "leptond/config.h"
 #include "server/sockio.h"
 
 namespace lepton::leptond {
@@ -53,6 +54,11 @@ std::size_t EventServer::open_connections() const {
 
 bool EventServer::start() {
   if (running_.load(std::memory_order_acquire)) return true;
+  if (cfg_.workers > kMaxWorkers) {
+    error_ = "workers " + std::to_string(cfg_.workers) + " exceeds the " +
+             std::to_string(kMaxWorkers) + "-worker ceiling";
+    return false;
+  }
   if (!server::parse_endpoint(cfg_.listen, &endpoint_, &error_)) return false;
   listen_fd_ =
       server::listen_endpoint(endpoint_, &error_, &bound_, /*backlog=*/512);
@@ -91,7 +97,13 @@ bool EventServer::start() {
 
 void EventServer::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Set under the mutex the workers' wait predicate runs under: a worker
+    // between its predicate check and its sleep would otherwise miss the
+    // notify below and never wake to be joined.
+    std::lock_guard<std::mutex> lk(jobs_mu_);
+    stopping_.store(true, std::memory_order_release);
+  }
   service_.begin_drain();
   jobs_cv_.notify_all();
   wake_loop();

@@ -14,8 +14,11 @@
 //     (blocking body reads under the wall budget, blocking response
 //     writes under the send timeout), then hands the fd back to the loop
 //     for the next request;
-//   * admission, deadlines, backpressure, slow-loris defense, kill-switch
-//     and stats are RequestService's (server/service.h).
+//   * the fixed pool is the concurrency bound: a request past it waits in
+//     the job queue with its body unread, so backpressure reaches the
+//     client through its own socket. Drain admission, deadlines,
+//     slow-loris defense, kill-switch and stats are RequestService's
+//     (server/service.h).
 //
 // So a slow-loris client dribbling a *header* holds a 72-byte buffer in
 // the loop (reaped by the idle sweep), not a worker; a client dribbling a
@@ -66,9 +69,10 @@ struct EventServerConfig {
   // from bound_address().
   std::string listen;
 
-  // Fixed worker pool: the conversion concurrency ceiling. The admission
-  // bound (service.max_in_flight) still governs how many requests hold
-  // sessions; extra workers beyond it only help absorb control frames.
+  // Fixed worker pool, 1 .. kMaxWorkers (leptond/config.h): the one bound
+  // on requests served at once. A request whose open frame is buffered
+  // while every worker is busy waits in the job queue with its body unread
+  // — backpressure through the client's socket (docs/PROTOCOL.md).
   int workers = 4;
 
   server::ServiceConfig service;
@@ -83,7 +87,8 @@ class EventServer {
   EventServer& operator=(const EventServer&) = delete;
 
   // Binds the listener, spawns the loop thread and the worker pool.
-  // False (message in last_error()) on bind/epoll failure.
+  // False (message in last_error()) when `workers` exceeds kMaxWorkers —
+  // checked before any thread starts — or on bind/epoll failure.
   bool start();
 
   // Graceful drain: stop accepting, let dispatched requests run to their

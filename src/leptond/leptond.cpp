@@ -13,7 +13,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,22 +92,18 @@ int main(int argc, char** argv) {
   lepton::TransparentStore store;
   if (!cfg.shutoff_file.empty()) store.set_shutoff_file(cfg.shutoff_file);
 
-  std::unique_ptr<lepton::CodecContext> ctx;
-  if (cfg.codec_threads > 0) {
-    ctx = std::make_unique<lepton::CodecContext>(cfg.codec_threads);
-  }
-  lepton::CodecContext* ctx_p =
-      ctx ? ctx.get() : &lepton::default_context();
+  // Every request converts on the process-wide codec context. Its pool
+  // spawns here, after the signal mask, so its threads inherit the mask.
+  lepton::CodecContext& ctx = lepton::default_context();
 
   lepton::leptond::EventServerConfig ec;
   ec.listen = cfg.listen;
   ec.workers = cfg.workers;
-  ec.service.max_in_flight = cfg.max_in_flight;
   ec.service.max_body_bytes = cfg.max_body_bytes;
   ec.service.idle_read_timeout =
       std::chrono::milliseconds(cfg.idle_timeout_ms);
   ec.service.store = &store;
-  lepton::leptond::EventServer plane(std::move(ec), ctx_p);
+  lepton::leptond::EventServer plane(std::move(ec), &ctx);
 
   if (!plane.start()) {
     std::fprintf(stderr, "leptond: cannot listen on %s: %s\n",

@@ -1,10 +1,17 @@
 // Drives the probability model over the blocks of one thread segment.
 //
-// Written once, templated over coding::EncodeOps / coding::DecodeOps, so the
-// encoder and decoder cannot drift (§5.2's determinism requirement). The
-// codec streams: it holds exactly two block rows of context per component
-// (the row being coded and the row above it), which is what keeps Lepton's
-// decode working set fixed regardless of image height (§1 "Memory", §5.4).
+// Templated over coding::EncodeOps / coding::DecodeOps; the two sides reach
+// the same model bins by different routes. The decoder derives every
+// context per block from its two-row rings (code_block): that derivation
+// is the format's reference. The encoder knows every coefficient up front,
+// so it reads the same contexts from the precomputed context plane
+// (model/context_plane.h) and its coder loop only feeds the BoolEncoder.
+// Every encode is checked against the reference by a round trip, so a
+// plane that drifted from the decoder's derivation cannot pass unseen
+// (§5.2's determinism requirement). The decoder streams: it holds exactly
+// two block rows of context per component (the row being coded and the row
+// above it), which is what keeps Lepton's decode working set fixed
+// regardless of image height (§1 "Memory", §5.4).
 //
 // Block coding order within a block (§3.3/§A.2): the 7x7 interior count,
 // the 7x7 values (zigzag), the 7x1 column edge, the 1x7 row edge, and the
@@ -111,38 +118,34 @@ class SegmentCodec {
     }
   }
 
-  // Attaches encode-side context-plane scratch: subsequent code_mcu_row
-  // calls on the encode instantiation run the staged pipeline (per-row
-  // precompute, then a coder loop that only feeds the BoolEncoder) instead
-  // of deriving context per block. Byte-streams are identical either way;
-  // decode instantiations ignore it. Null detaches (reference path).
+  // Attaches the encode-side context-plane scratch every encode runs on
+  // (per-row precompute, then a coder loop that only feeds the
+  // BoolEncoder). Required before the first code_mcu_row on the encode
+  // instantiation; decode instantiations never read it.
   void attach_plane(ContextPlane* plane) {
     plane_ = plane;
-    if (plane_ != nullptr) plane_->reshape(jf_.frame);
+    plane_->reshape(jf_.frame);
   }
 
-  // Codes one MCU row. On encode, `source` supplies ground-truth blocks; on
-  // decode pass nullptr. Decoded coefficients land in the ring and can be
-  // read back with row_block() until the next call for that parity.
+  // Codes one MCU row. On encode, `source` supplies ground-truth blocks
+  // (and attach_plane must have been called); on decode pass nullptr.
+  // Decoded coefficients land in the ring and can be read back with
+  // row_block() until the next call for that parity.
   void code_mcu_row(int my, const jpegfmt::CoeffImage* source) {
     if constexpr (Ops::kEncoding) {
-      if (plane_ != nullptr && source != nullptr) {
-        code_mcu_row_plane(my, *source);
-        plane_row_coded_ = true;
-        return;
-      }
-    }
-    const auto& fr = jf_.frame;
-    for (int mx = 0; mx < fr.mcus_x; ++mx) {
-      for (int ci = 0; ci < fr.ncomp(); ++ci) {
-        const auto& comp = fr.comps[ci];
-        for (int sy = 0; sy < comp.v_samp; ++sy) {
-          for (int sx = 0; sx < comp.h_samp; ++sx) {
-            int bx = fr.ncomp() == 1 ? mx : mx * comp.h_samp + sx;
-            int by = fr.ncomp() == 1 ? my : my * comp.v_samp + sy;
-            code_block(ci, bx, by,
-                       source != nullptr ? source->comps[ci].block(bx, by)
-                                         : nullptr);
+      code_mcu_row_plane(my, *source);
+      plane_row_coded_ = true;
+    } else {
+      const auto& fr = jf_.frame;
+      for (int mx = 0; mx < fr.mcus_x; ++mx) {
+        for (int ci = 0; ci < fr.ncomp(); ++ci) {
+          const auto& comp = fr.comps[ci];
+          for (int sy = 0; sy < comp.v_samp; ++sy) {
+            for (int sx = 0; sx < comp.h_samp; ++sx) {
+              int bx = fr.ncomp() == 1 ? mx : mx * comp.h_samp + sx;
+              int by = fr.ncomp() == 1 ? my : my * comp.v_samp + sy;
+              code_block(ci, bx, by);
+            }
           }
         }
       }
@@ -159,7 +162,10 @@ class SegmentCodec {
   void set_tally(SectionTally* t) { tally_ = t; }
 
  private:
-  void code_block(int ci, int bx, int by, const std::int16_t* truth) {
+  // The decoder's per-block context derivation — the reference every
+  // plane field must reproduce.
+  void code_block(int ci, int bx, int by) {
+    static_assert(!Ops::kEncoding, "encode runs the context plane");
     const auto& comp = jf_.frame.comps[ci];
     const std::uint16_t* q = jf_.qtables[comp.quant_idx].q.data();
     KindModel& km = pm_.for_component(ci);
@@ -176,13 +182,12 @@ class SegmentCodec {
       prefetch_ro(nxt_above);
       prefetch_ro(reinterpret_cast<const std::uint8_t*>(nxt_above) + 128);
     }
-    // Clear only what later reads depend on (ring slot reuse): the decode
-    // side writes just the nonzero coefficients, so coef must start zeroed
-    // (the encode side copies all 64 from truth); nz77/px_bottom/px_right/
-    // valid are unconditionally overwritten below and in
-    // finalize_block_pixels. A full BlockState{} assignment would memset
-    // twice as many bytes once per block.
-    if constexpr (!Ops::kEncoding) bs.coef.fill(0);
+    // Clear only what later reads depend on (ring slot reuse): decoding
+    // writes just the nonzero coefficients, so coef must start zeroed;
+    // nz77/px_bottom/px_right/valid are unconditionally overwritten below
+    // and in finalize_block_pixels. A full BlockState{} assignment would
+    // memset twice as many bytes once per block.
+    bs.coef.fill(0);
     bs.valid = false;
 
     Neighbors nb;
@@ -213,32 +218,16 @@ class SegmentCodec {
     };
 
     std::int16_t* blk = bs.coef.data();
-    if constexpr (Ops::kEncoding) {
-      for (int i = 0; i < 64; ++i) blk[i] = truth[i];
-    }
 
     const auto& order =
         opts_.zigzag_77 ? interior77().zigzag_order : interior77().raster_order;
 
-    auto coded_bytes = [this]() -> std::uint64_t {
-      if constexpr (Ops::kEncoding) {
-        return ops_.enc->bytes_so_far();
-      } else {
-        return 0;
-      }
-    };
-    std::uint64_t mark = coded_bytes();
-
     // ---- (1) number of non-zero 7x7 coefficients (§A.2.1) ----
-    int nz_truth = 0;
-    if constexpr (Ops::kEncoding) {
-      for (int i = 0; i < kNum77; ++i) nz_truth += blk[order[i]] != 0;
-    }
     int na = nb.above != nullptr ? nb.above->nz77 : 0;
     int nl = nb.left != nullptr ? nb.left->nz77 : 0;
     int nz_ctx = nz_count_bucket((na + nl) / 2);
-    int nz = static_cast<int>(coding::code_tree(
-        ops_, km.nz77.at(nz_ctx).row(), 6, static_cast<std::uint32_t>(nz_truth)));
+    int nz = static_cast<int>(
+        coding::code_tree(ops_, km.nz77.at(nz_ctx).row(), 6, 0));
     if (nz > kNum77) nz = kNum77;  // 6 bits can express up to 63
     bs.nz77 = static_cast<std::uint8_t>(nz);
 
@@ -249,30 +238,15 @@ class SegmentCodec {
       int avg_b = magnitude_bucket(wmag(nat));
       int rem_b = nz_count_bucket(remaining);
       Coef77Bins& cb = km.c77.at(i).at(avg_b);
-      std::int32_t v =
-          coding::code_value(ops_, cb.exp_row(rem_b), &cb.sign, cb.res.data(),
-                             kAcMaxBits, Ops::kEncoding ? blk[nat] : 0);
-      if constexpr (!Ops::kEncoding) {
-        blk[nat] = static_cast<std::int16_t>(v);
-      }
+      std::int32_t v = coding::code_value(ops_, cb.exp_row(rem_b), &cb.sign,
+                                          cb.res.data(), kAcMaxBits, 0);
+      blk[nat] = static_cast<std::int16_t>(v);
       if (v != 0) --remaining;
-    }
-
-    if (tally_ != nullptr) {
-      std::uint64_t now = coded_bytes();
-      tally_->bytes_77 += now - mark;
-      mark = now;
     }
 
     // ---- (3) edges: 7x1 column (left-predicted), 1x7 row (above-) ----
     code_edge(km, nb, blk, q, wmag, ci, /*orientation=*/0, nz);
     code_edge(km, nb, blk, q, wmag, ci, /*orientation=*/1, nz);
-
-    if (tally_ != nullptr) {
-      std::uint64_t now = coded_bytes();
-      tally_->bytes_edge += now - mark;
-      mark = now;
-    }
 
     // ---- (4) DC, last (§A.2.3) ----
     std::int32_t px_ac[64];
@@ -287,17 +261,12 @@ class SegmentCodec {
     if (pred.predicted_dc < -2048) pred.predicted_dc = -2048;
     int conf = confidence_bucket(pred.spread);
     ValueBins<kDcDeltaBits>& db = km.dc.at(conf);
-    std::int32_t delta = coding::code_value(
-        ops_, db.exp.data(), &db.sign, db.res.data(), kDcDeltaBits,
-        Ops::kEncoding ? blk[0] - pred.predicted_dc : 0);
-    if constexpr (!Ops::kEncoding) {
-      std::int32_t dc = pred.predicted_dc + delta;
-      if (dc > 2047) dc = 2047;
-      if (dc < -2048) dc = -2048;
-      blk[0] = static_cast<std::int16_t>(dc);
-    }
-
-    if (tally_ != nullptr) tally_->bytes_dc += coded_bytes() - mark;
+    std::int32_t delta = coding::code_value(ops_, db.exp.data(), &db.sign,
+                                            db.res.data(), kDcDeltaBits, 0);
+    std::int32_t dc = pred.predicted_dc + delta;
+    if (dc > 2047) dc = 2047;
+    if (dc < -2048) dc = -2048;
+    blk[0] = static_cast<std::int16_t>(dc);
 
     // ---- (5) finalize ring state for the blocks to our right/below ----
     if (!opts_.dc_gradient) ac_only_pixels(blk, q, px_ac);
@@ -312,17 +281,10 @@ class SegmentCodec {
     // orientation 1: F[0][v], predicted from the above block.
     const BlockState* neighbor = orientation == 0 ? nb.left : nb.above;
 
-    int count_truth = 0;
-    if constexpr (Ops::kEncoding) {
-      for (int i = 1; i < 8; ++i) {
-        count_truth += blk[orientation == 0 ? i * 8 : i] != 0;
-      }
-    }
     int ctx = nz_count_bucket(nz77v);
     if (ctx > 7) ctx = 7;
     int count = static_cast<int>(coding::code_tree(
-        ops_, km.edge_nz.at(orientation).at(ctx).row(), 3,
-        static_cast<std::uint32_t>(count_truth)));
+        ops_, km.edge_nz.at(orientation).at(ctx).row(), 3, 0));
 
     int remaining = count;
     for (int i = 1; i < 8 && remaining > 0; ++i) {
@@ -341,12 +303,9 @@ class SegmentCodec {
       int mb = magnitude_bucket(wmag(nat));
       if (mb > 3) mb = 3;
       EdgeBins& eb = km.edge.at(orientation).at(i - 1).at(pb);
-      std::int32_t v =
-          coding::code_value(ops_, eb.exp_row(mb), &eb.sign, eb.res_row(mb),
-                             kAcMaxBits, Ops::kEncoding ? blk[nat] : 0);
-      if constexpr (!Ops::kEncoding) {
-        blk[nat] = static_cast<std::int16_t>(v);
-      }
+      std::int32_t v = coding::code_value(ops_, eb.exp_row(mb), &eb.sign,
+                                          eb.res_row(mb), kAcMaxBits, 0);
+      blk[nat] = static_cast<std::int16_t>(v);
       if (v != 0) --remaining;
     }
   }
@@ -354,12 +313,13 @@ class SegmentCodec {
   // ---- encode-side context-plane pipeline ----------------------------------
   //
   // Stage 2+3 of the staged encode (stage 1 is the fused-refill scan
-  // parse): precompute_block_row resolves every bucket a block's coding
+  // parse): precompute_mcu_row resolves every bucket a block's coding
   // needs from ground truth (SIMD kernels for the bulk work), then
   // code_block_plane feeds the BoolEncoder with zero context derivation on
-  // the serial chain. Bit-identical to code_block by construction — every
-  // plane field replicates the reference derivation on the same inputs
-  // (encode ring state equals truth), which the fuzz tests pin down.
+  // the serial chain. Every plane field replicates the decoder's per-block
+  // derivation (code_block) on the same inputs — the decoder's rings hold
+  // exactly the truth the plane reads — which every round trip checks and
+  // tests/context_plane_test pins by container digest.
 
   void code_mcu_row_plane(int my, const jpegfmt::CoeffImage& source) {
     const auto& fr = jf_.frame;
@@ -457,9 +417,9 @@ class SegmentCodec {
   // caller-provided scratch when available, at own_rings_ otherwise.
   SegmentRings own_rings_;
   SegmentRings* rings_;
-  // Encode-side context plane (null = reference per-block path) and
-  // whether any MCU row was coded since construction (the first row's
-  // blocks have no "above" context).
+  // Encode-side context plane (attach_plane) and whether any MCU row was
+  // coded since construction (the first row's blocks have no "above"
+  // context).
   ContextPlane* plane_ = nullptr;
   bool plane_row_coded_ = false;
 };

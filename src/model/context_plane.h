@@ -10,9 +10,11 @@
 // and the DC prediction + confidence bucket. The serial loop then does
 // nothing but feed the BoolEncoder (model/block_codec.h).
 //
-// Bit-exactness contract: every field equals what the per-block reference
-// path derives from its context rings — the plane path and the reference
-// path produce byte-identical streams (fuzzed in tests/context_plane_test).
+// Bit-exactness contract: every field equals what the decoder's per-block
+// derivation (SegmentCodec::code_block) computes from its context rings. A
+// field that drifted would send the decoder to other bins, so every round
+// trip checks the contract, and tests/context_plane_test pins the
+// containers by digest.
 // Storage is owned by CodecContext worker scratch and re-shaped per
 // segment: no steady-state allocation.
 #pragma once
@@ -175,8 +177,7 @@ struct ContextPlane {
 namespace detail {
 
 // Shared all-zero magnitude row for absent neighbours: the kernel then has
-// no validity branches per lane (same trick as the reference path's
-// kZeroBlock).
+// no validity branches per lane (same trick as the decoder's kZeroBlock).
 alignas(32) inline constexpr std::uint16_t kZeroAbs[64] = {};
 
 }  // namespace detail
@@ -191,12 +192,11 @@ alignas(32) inline constexpr std::uint16_t kZeroAbs[64] = {};
 // applies, then the per-block scalar tail (count buckets, gated Lakhani,
 // DC prediction, rolling pixels).
 //
-// The above-left quirk: the reference path's two-row context ring is
-// shared with the MCU interleave, so with v_samp == 2 block (bx-1, by+1)
-// is coded *before* (bx, by) whenever bx % h_samp == 0 — by coding time
-// the ring's above-left slot already holds the BELOW-left block. Encoder
-// and decoder share the ring, so this is part of the byte stream; the
-// plane reproduces it exactly (see DESIGN.md). It is why the abs ring is
+// The above-left quirk: the decoder's two-row context ring is shared with
+// the MCU interleave, so with v_samp == 2 block (bx-1, by+1) is coded
+// *before* (bx, by) whenever bx % h_samp == 0 — by coding time the ring's
+// above-left slot already holds the BELOW-left block. This is part of the
+// byte stream; the plane reproduces it exactly (see DESIGN.md). It is why the abs ring is
 // three-deep: an even row's bucket pass touches rows by-1, by and by+1.
 //
 // Header-inline on purpose: this is the encode pipeline's bulk stage, and
@@ -303,8 +303,7 @@ inline void plane_context_row(ComponentPlane& cp, BlockCtx* out_row,
     // The coder loop consumes pb[or][i] only for i = 1..(last nonzero edge
     // position) — it stops the moment the coded nonzero count is
     // exhausted. Computing exactly that prefix keeps the plane's Lakhani
-    // work equal to the reference path's (sparse blocks: zero dot
-    // products).
+    // work equal to the decoder's (sparse blocks: zero dot products).
     std::uint64_t colbits = nzmask & simd::kColEdgeMask;
     std::uint64_t rowbits = nzmask & simd::kRowEdgeMask;
     int last_i[2];

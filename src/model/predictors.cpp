@@ -15,16 +15,6 @@ inline std::int32_t round_div(std::int64_t num, std::int64_t den) {
 
 }  // namespace
 
-std::uint32_t avg_neighbor_magnitude(const Neighbors& nb, int nat) {
-  std::uint32_t sum = 0;
-  if (nb.above != nullptr) sum += 13u * static_cast<std::uint32_t>(abs32(nb.above->coef[nat]));
-  if (nb.left != nullptr) sum += 13u * static_cast<std::uint32_t>(abs32(nb.left->coef[nat]));
-  if (nb.above_left != nullptr) {
-    sum += 6u * static_cast<std::uint32_t>(abs32(nb.above_left->coef[nat]));
-  }
-  return sum / 32u;
-}
-
 std::int32_t avg_neighbor_value(const Neighbors& nb, int nat) {
   return avg_neighbor_value_at(
       nb.above != nullptr ? nb.above->coef.data() : nullptr,

@@ -36,11 +36,6 @@ struct Neighbors {
   const BlockState* above_left = nullptr;
 };
 
-// Weighted average magnitude of the neighbours' coefficient at natural
-// index `nat`: (13|A| + 13|L| + 6|AL|) / 32 (§A.2.1). Missing neighbours
-// contribute zero.
-std::uint32_t avg_neighbor_magnitude(const Neighbors& nb, int nat);
-
 // Signed weighted average of the neighbours' coefficient values (fallback
 // edge predictor when the Lakhani path is ablated).
 std::int32_t avg_neighbor_value(const Neighbors& nb, int nat);

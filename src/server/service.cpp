@@ -128,11 +128,7 @@ void RequestService::reset() {
 }
 
 void RequestService::begin_drain() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    draining_.store(true, std::memory_order_release);
-  }
-  slot_cv_.notify_all();
+  draining_.store(true, std::memory_order_release);
 }
 
 void RequestService::cancel_all() {
@@ -158,29 +154,6 @@ void RequestService::record_accept_retry() {
 ServerStats RequestService::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
-}
-
-bool RequestService::acquire_slot() {
-  std::unique_lock<std::mutex> lk(mu_);
-  slot_cv_.wait(lk, [&] {
-    return draining_.load(std::memory_order_acquire) ||
-           stats_.in_flight < cfg_.max_in_flight;
-  });
-  if (draining_.load(std::memory_order_acquire)) return false;
-  ++stats_.requests;
-  ++stats_.in_flight;
-  if (stats_.in_flight > stats_.in_flight_peak) {
-    stats_.in_flight_peak = stats_.in_flight;
-  }
-  return true;
-}
-
-void RequestService::release_slot() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    --stats_.in_flight;
-  }
-  slot_cv_.notify_all();
 }
 
 std::string RequestService::stats_text() {
@@ -233,8 +206,8 @@ bool RequestService::serve_stats(int fd) {
   std::uint8_t hdr[kFrameHeaderSize];
   write_frame_header(
       hdr, {FrameType::kData, 0, static_cast<std::uint32_t>(text.size())});
-  // Like PING, a STATS round trip is not a conversion: it does not hold an
-  // admission slot and its trailer is not tallied into trailer_codes.
+  // Like PING, a STATS round trip is not a conversion: it does not count in
+  // requests/in_flight and its trailer is not tallied into trailer_codes.
   return send_all(fd, hdr, sizeof hdr) &&
          send_all(fd, text.data(), text.size()) &&
          send_trailer(fd, ExitCode::kSuccess, store_->shutoff_active(), 0,
@@ -321,23 +294,37 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
     return false;
   }
 
-  // Admission: block (not reject) until a slot frees — the unread socket is
-  // the backpressure signal to this client, §5.5-style.
-  if (!acquire_slot()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
+  // Admission. Concurrency is bounded before this point: the owning plane
+  // runs at most one request per worker, and a request past the pool waits
+  // in the plane's queue with its body unread — the unread socket is the
+  // backpressure signal to this client, §5.5-style. Here only a drain
+  // refuses.
+  bool admitted;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    admitted = !draining_.load(std::memory_order_acquire);
+    if (admitted) {
+      ++stats_.requests;
+      ++stats_.in_flight;
+      stats_.in_flight_peak = std::max(stats_.in_flight, stats_.in_flight_peak);
+    } else {
       stats_.trailer_codes.add(
           static_cast<unsigned>(ExitCode::kServerShutdown));
     }
+  }
+  if (!admitted) {
     (void)send_trailer(c.fd, ExitCode::kServerShutdown,
                        store_->shutoff_active(), 0, 0);
     return false;
   }
-  struct SlotGuard {
-    RequestService* s;
-    ~SlotGuard() { s->release_slot(); }
-  } slot_guard{this};
+  bool keep = serve_admitted(c, is_encode, open);
+  std::lock_guard<std::mutex> lk(mu_);
+  --stats_.in_flight;
+  return keep;
+}
 
+bool RequestService::serve_admitted(ServiceConn& c, bool is_encode,
+                                    const OpenPayload& open) {
   const auto start = std::chrono::steady_clock::now();
   c.rc.reset();
   const bool has_deadline = open.deadline_ms > 0;
@@ -345,7 +332,7 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
   if (has_deadline) c.rc.set_deadline(deadline);
 
   // Failpoint "service.encode"/"service.decode": `delay` burns wall budget
-  // inside the admission slot (a slow conversion, without needing one);
+  // inside the request (a slow conversion, without needing one);
   // any failing action is an internal server failure — error trailer,
   // close, exactly the §6.6 signal that sends the caller to another box.
   if (util::failpoint::armed()) {

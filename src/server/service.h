@@ -1,8 +1,9 @@
 // Transport-independent request service for the Lepton protocol (§5, §6.6).
 //
 // A server has two halves: a *connection plane* (accepting and scheduling
-// connections — leptond/event_server.h) and the *request semantics* (frame
-// switch, admission bound, deadlines, body wall budget, kill-switch,
+// connections, and bounding how many requests run at once with its fixed
+// worker pool — leptond/event_server.h) and the *request semantics* (frame
+// switch, drain admission, deadlines, body wall budget, kill-switch,
 // stats, trailer discipline). The second half lives here. RequestService
 // knows nothing about how connections are accepted, scheduled, or torn
 // down; the plane hands it a connection fd plus the request's open frame
@@ -20,7 +21,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,19 +41,13 @@ class CodecContext;
 namespace lepton::server {
 
 struct ServiceConfig {
-  // Admission bound: at most this many requests hold sessions at once.
-  // A request that arrives while the service is full is parked (its caller
-  // blocks in serve_frame), never rejected — backpressure by parked reads
-  // (docs/PROTOCOL.md §"Flow control").
-  int max_in_flight = 4;
-
   // Total request-body cap (sum of DATA payloads).
   std::uint64_t max_body_bytes = 6u << 20;
 
   // Three bounds in one knob: (a) how long a connection may sit idle
   // between requests; (b) the *wall-clock* budget for reading one request
   // body — absolute, not per-read, so a one-byte-per-interval dribble
-  // cannot re-arm it forever while holding an admission slot (a request
+  // cannot re-arm it forever while holding a worker (a request
   // with a tighter deadline uses that instead); (c) the send timeout on
   // response writes, so a client that stops reading is disconnected
   // rather than wedging its worker.
@@ -76,7 +70,7 @@ struct ServerStats {
   std::uint64_t disconnects = 0;         // connection died mid-request
   std::uint64_t shutoff_refusals = 0;    // ENCODE refused by kill-switch
   std::uint64_t accept_retries = 0;      // accept() backoffs (EMFILE/ENFILE)
-  int in_flight = 0;                     // requests holding slots now
+  int in_flight = 0;                     // requests being served now
   int in_flight_peak = 0;
   // §6.2 classification of every request/connection outcome: the code of
   // each trailer sent, plus kShortRead for requests whose peer vanished
@@ -120,8 +114,8 @@ class RequestService {
   // ---- lifecycle (driven by the owning plane) ----
   // Clears drain/cancel state; call when the plane (re)starts.
   void reset();
-  // Starts the graceful drain: slot waiters wake and are answered
-  // kServerShutdown; no new request is admitted.
+  // Starts the graceful drain: no new request is admitted — an ENCODE or
+  // DECODE served from here on is answered kServerShutdown.
   void begin_drain();
   // Hard-stop posture: in-flight requests that trip their deadline from
   // here on trail as kServerShutdown (server-initiated), not kTimeout.
@@ -153,9 +147,10 @@ class RequestService {
  private:
   bool serve_request(ServiceConn& c, std::uint8_t open_type,
                      const std::uint8_t* open_payload, std::uint32_t open_len);
+  // The admitted part of serve_request: everything between the in_flight
+  // increment and its decrement.
+  bool serve_admitted(ServiceConn& c, bool is_encode, const OpenPayload& open);
   bool serve_stats(int fd);
-  bool acquire_slot();
-  void release_slot();
 
   ServiceConfig cfg_;
   std::function<std::string()> extra_stats_;
@@ -167,7 +162,6 @@ class RequestService {
   std::atomic<bool> cancel_all_{false};
 
   mutable std::mutex mu_;
-  std::condition_variable slot_cv_;  // admission + drain waits
   ServerStats stats_;
 };
 

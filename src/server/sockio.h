@@ -86,7 +86,7 @@ inline void set_recv_timeout(int fd, std::chrono::milliseconds ms) {
 // Response writes must not block forever on a client that stops reading:
 // with a send timeout, a stalled ::sendmsg fails with EAGAIN, the sink
 // marks itself broken, and the request unwinds through the disconnect
-// path — releasing its admission slot instead of wedging stop()/drain.
+// path — releasing its worker instead of wedging stop()/drain.
 // The slow consumer pays with its connection.
 inline void set_send_timeout(int fd, std::chrono::milliseconds ms) {
   timeval tv = to_timeval(ms);
@@ -130,8 +130,8 @@ inline bool failpoint_read(ReadStatus* rs) {
 // kTruncated (the §6.2 short read, at the frame layer). SO_RCVTIMEO is
 // re-armed with the *remaining* wall budget before every recv: plain
 // SO_RCVTIMEO alone bounds only inactivity — a hostile client dribbling one
-// byte per interval restarts the idle window forever while holding an
-// admission slot (slow loris); the absolute deadline is what actually
+// byte per interval restarts the idle window forever while holding a
+// worker (slow loris); the absolute deadline is what actually
 // bounds the body phase.
 inline ReadStatus read_exact_deadline(
     int fd, std::uint8_t* out, std::size_t n,

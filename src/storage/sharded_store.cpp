@@ -262,13 +262,12 @@ bool ShardedStore::kill_shard(int shard) {
     Shard& sh = shards_[static_cast<std::size_t>(shard)];
     if (!sh.alive) return false;
     sh.alive = false;
-    sh.scrub = false;
     victim = std::move(sh.store);
     ++stats_.shard_kills;
   }
   // The handle dies outside the lock: in-flight reads holding their own
-  // shared_ptr finish safely, then the journal closes and the scrubber
-  // joins. (Crash-vs-kill-9 is PR 9's harness; this drill is loss of the
+  // shared_ptr finish safely, then the journal closes. (Kill -9 of the
+  // whole process is crash_store's drill; this one is loss of the
   // backend, not of the machine.)
   victim.reset();
   return true;
@@ -364,26 +363,6 @@ bool ShardedStore::sync() {
   bool ok = true;
   for (auto& s : live) ok = s->sync() && ok;
   return ok;
-}
-
-void ShardedStore::start_scrubbers(ScrubberConfig cfg) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (Shard& sh : shards_) {
-    if (sh.alive) {
-      sh.store->start_scrubber(cfg);
-      sh.scrub = true;
-    }
-  }
-}
-
-void ShardedStore::stop_scrubbers() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (Shard& sh : shards_) {
-    if (sh.alive && sh.scrub) {
-      sh.store->stop_scrubber();
-      sh.scrub = false;
-    }
-  }
 }
 
 ShardedStoreStats ShardedStore::stats() const {

@@ -168,11 +168,6 @@ class ShardedStore {
   // Journal group-commit barrier on every live shard.
   bool sync();
 
-  // Background scrubbers on every live shard (restart_shard does not
-  // re-arm them; call start_scrubbers again after a restart drill).
-  void start_scrubbers(ScrubberConfig cfg = {});
-  void stop_scrubbers();
-
   ShardedStoreStats stats() const;
 
   DecodeCache* cache() { return cache_.get(); }
@@ -183,7 +178,6 @@ class ShardedStore {
     std::shared_ptr<DurableStore> store;  // null while killed
     std::unique_ptr<FleetClient> fleet;
     bool alive = false;
-    bool scrub = false;  // scrubber armed (so restart notes it is not)
     std::uint64_t puts = 0;
     std::uint64_t gets = 0;
   };

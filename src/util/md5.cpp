@@ -121,6 +121,8 @@ void Md5::process_block(const std::uint8_t* block) {
 }
 
 void Md5::update(std::span<const std::uint8_t> data) {
+  // An empty span may carry a null data(), which memcpy must never see.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t pos = 0;
   if (buffer_len_ > 0) {

@@ -132,28 +132,6 @@ class ReservoirPercentiles {
   mutable bool sorted_ = false;
 };
 
-// Numerically stable running mean/variance (Welford).
-class RunningStat {
- public:
-  void add(double v) {
-    ++n_;
-    double d = v - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (v - mean_);
-  }
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-};
-
 // Tallies small enum codes — in practice util::ExitCode — the way the
 // paper's §6.2 table reports them: one count per code. The serving layer
 // and the fleet requeue path accumulate per-request outcomes here.

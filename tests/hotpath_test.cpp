@@ -135,12 +135,10 @@ TEST(ThreadPolicy, ForceThreadsControlsSegmentCount) {
 
 TEST(ThreadPolicy, SizePolicyAndOneWay) {
   auto file = corpus_jpeg(96, 12);  // < 128 KiB → policy says 1 segment
-  lepton::EncodeOptions opt;
-  opt.max_threads = 8;
-  auto enc = lepton::encode_jpeg({file.data(), file.size()}, opt);
+  auto enc = lepton::encode_jpeg({file.data(), file.size()});
   ASSERT_TRUE(enc.ok());
   EXPECT_EQ(container_segments(enc.data),
-            static_cast<std::size_t>(lepton::threads_for_size(file.size(), 8)));
+            static_cast<std::size_t>(lepton::threads_for_size(file.size())));
 
   lepton::EncodeOptions one;
   one.force_threads = 1;
@@ -164,9 +162,8 @@ TEST(ThreadPolicy, ManySegmentsBeyondOldBitmaskLimit) {
   ASSERT_TRUE(dec.ok());
   EXPECT_EQ(dec.data, file);
 
-  lepton::DecodeOptions serial;
-  serial.run_parallel = false;
-  auto dec2 = lepton::decode_lepton({enc.data.data(), enc.data.size()}, serial);
+  lepton::CodecContext serial(0);  // every segment on the calling thread
+  auto dec2 = serial.decode({enc.data.data(), enc.data.size()});
   EXPECT_EQ(dec2.data, file);
 }
 

@@ -59,7 +59,9 @@ std::vector<std::uint8_t> read_fixture(const char* name) {
 }  // namespace
 
 struct CodecCase {
-  int w, h, threads, dri;
+  int w, h;
+  int seed;  // varies the synthetic image between cases of equal width
+  int dri;
   int force_threads;  // 0 = size policy; 1 = "Lepton 1-way"
   jf::Subsampling sub;
 };
@@ -71,10 +73,9 @@ TEST_P(LeptonRoundTrip, ExactBytes) {
   jf::JfifOptions jopt;
   jopt.subsampling = p.sub;
   jopt.restart_interval_mcus = p.dri;
-  auto file = make_jpeg(p.w, p.h, 500 + p.w + p.threads, jopt);
+  auto file = make_jpeg(p.w, p.h, 500 + p.w + p.seed, jopt);
 
   lepton::EncodeOptions opt;
-  opt.max_threads = p.threads;
   opt.force_threads = p.force_threads;
   auto enc = lepton::encode_jpeg({file.data(), file.size()}, opt);
   ASSERT_TRUE(enc.ok()) << enc.message;
@@ -129,22 +130,19 @@ TEST(LeptonCodec, DeterministicAcrossRuns) {
   auto b = lepton::encode_jpeg({file.data(), file.size()}, opt);
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a.data, b.data) << "encode must be deterministic (§5.2)";
-  lepton::EncodeOptions serial_opt = opt;
-  serial_opt.run_parallel = false;
-  auto c = lepton::encode_jpeg({file.data(), file.size()}, serial_opt);
+  // A context with no pool workers runs every segment on the calling
+  // thread: the serial schedule.
+  lepton::CodecContext serial(0);
+  auto c = serial.encode({file.data(), file.size()}, opt);
   EXPECT_EQ(a.data, c.data) << "parallel and serial encode must agree";
   auto d1 = lepton::decode_lepton({a.data.data(), a.data.size()});
-  lepton::DecodeOptions serial;
-  serial.run_parallel = false;
-  auto d2 = lepton::decode_lepton({a.data.data(), a.data.size()}, serial);
+  auto d2 = serial.decode({a.data.data(), a.data.size()});
   EXPECT_EQ(d1.data, d2.data) << "parallel and serial decode must agree";
 }
 
 TEST(LeptonCodec, StreamingDecodeDeliversFirstBytesEarly) {
   auto file = make_jpeg(512, 512, 46);
-  lepton::EncodeOptions opt;
-  opt.max_threads = 8;
-  auto enc = lepton::encode_jpeg({file.data(), file.size()}, opt);
+  auto enc = lepton::encode_jpeg({file.data(), file.size()});
   ASSERT_TRUE(enc.ok());
   lepton::VectorSink inner;
   lepton::TimingSink timing(&inner);
@@ -156,11 +154,10 @@ TEST(LeptonCodec, StreamingDecodeDeliversFirstBytesEarly) {
 }
 
 TEST(LeptonCodec, ThreadPolicyMatchesPaperCutoffs) {
-  EXPECT_EQ(lepton::threads_for_size(50u << 10, 8), 1);
-  EXPECT_EQ(lepton::threads_for_size(300u << 10, 8), 2);
-  EXPECT_EQ(lepton::threads_for_size(1u << 20, 8), 4);
-  EXPECT_EQ(lepton::threads_for_size(4u << 20, 8), 8);
-  EXPECT_EQ(lepton::threads_for_size(4u << 20, 2), 2) << "capped by option";
+  EXPECT_EQ(lepton::threads_for_size(50u << 10), 1);
+  EXPECT_EQ(lepton::threads_for_size(300u << 10), 2);
+  EXPECT_EQ(lepton::threads_for_size(1u << 20), 4);
+  EXPECT_EQ(lepton::threads_for_size(4u << 20), 8);
 }
 
 TEST(LeptonCodec, OneWayCompressesBetterThanEightWay) {

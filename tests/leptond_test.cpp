@@ -263,6 +263,72 @@ TEST(DaemonConfig, RetiredDecodeCacheOptionIsRejected) {
       << ld::usage_text();
 }
 
+// The event plane's worker pool is the daemon's one concurrency bound, so
+// the retired admission and codec-pool knobs must fail loudly rather than
+// be ignored by a stale config.
+TEST(DaemonConfig, RetiredConcurrencyOptionsAreRejected) {
+  namespace ld = lepton::leptond;
+  for (const char* key : {"max-in-flight", "codec-threads"}) {
+    ld::DaemonConfig cfg;
+    std::string err;
+    bool help = false;
+    EXPECT_FALSE(ld::parse_args({std::string("--") + key, "4"}, &cfg, &err,
+                                &help));
+    EXPECT_NE(err.find(std::string("unknown option '") + key + "'"),
+              std::string::npos)
+        << err;
+
+    cfg = {};
+    err.clear();
+    EXPECT_FALSE(
+        ld::parse_config_text(std::string(key) + " = 4\n", &cfg, &err));
+    EXPECT_NE(err.find(std::string("line 1: unknown option '") + key + "'"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(ld::usage_text().find(key), std::string::npos)
+        << ld::usage_text();
+  }
+}
+
+// workers has a ceiling: the pool spawns every worker up front, so a
+// mistyped value must be refused at parse time, not exhaust the box.
+TEST(DaemonConfig, WorkersCeilingIsEnforced) {
+  namespace ld = lepton::leptond;
+  ld::DaemonConfig cfg;
+  std::string err;
+  ASSERT_TRUE(ld::apply_option(&cfg, "workers",
+                               std::to_string(ld::kMaxWorkers), &err))
+      << err;
+  EXPECT_EQ(cfg.workers, ld::kMaxWorkers);
+
+  for (const std::string& value :
+       {std::to_string(ld::kMaxWorkers + 1), std::string("0")}) {
+    cfg = {};
+    EXPECT_FALSE(ld::apply_option(&cfg, "workers", value, &err)) << value;
+    EXPECT_NE(err.find("bad value"), std::string::npos) << err;
+    EXPECT_EQ(cfg.workers, ld::DaemonConfig{}.workers)
+        << "a rejected value must leave the setting untouched";
+  }
+}
+
+// The plane enforces the same ceiling for embedders that skip the config
+// layer, before it binds or starts a single thread.
+TEST(LeptondTest, EventServerRefusesWorkersAboveCeiling) {
+  namespace ld = lepton::leptond;
+  lepton::CodecContext ctx(0);
+  EventServerConfig ec;
+  ec.listen = "tcp:127.0.0.1:0";
+  ec.workers = ld::kMaxWorkers + 1;
+  EventServer srv(std::move(ec), &ctx);
+  const int threads_before = process_threads();
+  EXPECT_FALSE(srv.start());
+  EXPECT_FALSE(srv.running());
+  EXPECT_NE(srv.last_error().find("ceiling"), std::string::npos)
+      << srv.last_error();
+  EXPECT_TRUE(srv.bound_address().empty()) << "refused before binding";
+  EXPECT_EQ(process_threads(), threads_before);
+}
+
 // A number past 2^64 is rejected, never wrapped ("workers
 // 18446744073709551618" must not run 2 workers), and the idle window has a
 // ceiling: past 2^63 ms it goes negative as std::chrono::milliseconds and
@@ -607,11 +673,12 @@ TEST(LeptondTest, EventPlaneDeadlineExpiryReturnsTimeoutTrailer) {
 }
 
 TEST(LeptondTest, EventPlaneAdmissionBoundsInFlight) {
+  // The worker pool is the one concurrency bound: with one worker, the
+  // other requests wait in the job queue with their bodies unread.
   lepton::CodecContext ctx(4);
   EventServerConfig ec;
   ec.listen = "tcp:127.0.0.1:0";
-  ec.workers = 3;  // more workers than slots: admission still the bound
-  ec.service.max_in_flight = 1;
+  ec.workers = 1;
   EventServer srv(std::move(ec), &ctx);
   ASSERT_TRUE(srv.start()) << srv.last_error();
 
@@ -627,9 +694,9 @@ TEST(LeptondTest, EventPlaneAdmissionBoundsInFlight) {
   b.join();
   c.join();
 
-  EXPECT_EQ(ok.load(), 3) << "parked requests must be served, not dropped";
+  EXPECT_EQ(ok.load(), 3) << "queued requests must be served, not dropped";
   auto s = srv.stats();
-  EXPECT_EQ(s.in_flight_peak, 1) << "admission cap violated";
+  EXPECT_EQ(s.in_flight_peak, 1) << "worker bound violated";
   EXPECT_EQ(s.requests, 3u);
   srv.stop();
 }

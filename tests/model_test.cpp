@@ -185,6 +185,8 @@ void roundtrip_model(const lm::ModelOptions& opts, std::uint64_t seed,
   lc::BoolEncoder enc;
   lm::SegmentCodec<lc::EncodeOps> ecodec(lc::EncodeOps{&enc}, *pm_enc, parsed,
                                          opts);
+  lm::ContextPlane plane;
+  ecodec.attach_plane(&plane);
   for (int my = 0; my < parsed.frame.mcus_y; ++my) {
     ecodec.code_mcu_row(my, &dec.coeffs);
   }
@@ -264,6 +266,8 @@ TEST(SegmentCodec, CompressesVsHuffmanScan) {
   auto pm = std::make_unique<lm::ProbabilityModel>();
   lc::BoolEncoder enc;
   lm::SegmentCodec<lc::EncodeOps> codec(lc::EncodeOps{&enc}, *pm, parsed, {});
+  lm::ContextPlane plane;
+  codec.attach_plane(&plane);
   for (int my = 0; my < parsed.frame.mcus_y; ++my) {
     codec.code_mcu_row(my, &dec.coeffs);
   }

@@ -59,11 +59,12 @@ EventServer make_unix_server(lepton::CodecContext* ctx, const char* tag,
   return EventServer(std::move(ec), ctx);
 }
 
-// Polls `pred` until it holds or ~2 s pass (server-side counters update
-// asynchronously after a hostile client hangs up).
+// Polls `pred` until it holds or `window` passes (server-side counters
+// update asynchronously after a hostile client hangs up).
 template <typename Pred>
-bool eventually(Pred pred) {
-  auto until = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+bool eventually(Pred pred,
+                std::chrono::milliseconds window = std::chrono::seconds(2)) {
+  auto until = std::chrono::steady_clock::now() + window;
   for (;;) {
     if (pred()) return true;
     if (std::chrono::steady_clock::now() >= until) return pred();
@@ -493,6 +494,19 @@ TEST(UnixServerTest, UnreadableClientIsDisconnectedNotWedged) {
   auto lep = ctx.encode({jpeg.data(), jpeg.size()});
   ASSERT_TRUE(lep.ok());
 
+  // The server decodes until its output fills the socket, then waits out
+  // the send timeout before it drops the client. Bound the wait by that
+  // work as this build runs it on this machine (a sanitizer build decodes
+  // the container several times slower than a release build): one whole
+  // decode on the same context plus the send timeout, doubled for margin.
+  const auto decode_start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(ctx.decode({lep.data.data(), lep.data.size()}).ok());
+  const auto decode_time =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - decode_start);
+  const auto window = std::max<std::chrono::milliseconds>(
+      std::chrono::seconds(2), 2 * (decode_time + svc.idle_read_timeout));
+
   int fd = raw_connect(srv.bound_address());
   ASSERT_GE(fd, 0);
   raw_open_frame(fd, FrameType::kDecode);
@@ -512,8 +526,9 @@ TEST(UnixServerTest, UnreadableClientIsDisconnectedNotWedged) {
   (void)raw_send(fd, hdr, sizeof hdr);
   // Never read. The server must record a disconnect and drain within the
   // send timeout, not wedge.
-  EXPECT_TRUE(eventually([&] { return srv.stats().disconnects >= 1; }));
-  EXPECT_TRUE(eventually([&] { return srv.stats().in_flight == 0; }));
+  EXPECT_TRUE(eventually([&] { return srv.stats().disconnects >= 1; }, window))
+      << "window " << window.count() << " ms";
+  EXPECT_TRUE(eventually([&] { return srv.stats().in_flight == 0; }, window));
   auto t0 = std::chrono::steady_clock::now();
   srv.stop();
   EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -22,6 +22,7 @@
 #include "corpus/corpus.h"
 #include "jpeg/jfif_builder.h"
 #include "lepton/lepton.h"
+#include "util/cpu_features.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/zlib_util.h"
@@ -298,8 +299,7 @@ TEST(DecodeSession, LowestIndexFailingSegmentWinsOnEveryPath) {
   auto lep = encode_or_die({file.data(), file.size()}, 4);
   const auto parsed = lepton::core::parse_container({lep.data(), lep.size()});
   ASSERT_EQ(parsed.arith.size(), 4u);
-  lepton::DecodeOptions serial;
-  serial.run_parallel = false;
+  lepton::CodecContext serial(0);  // every segment on the calling thread
   lepton::util::Rng rng(8);
   for (auto [zeros, ones] : {std::pair{1, 2}, std::pair{2, 1}}) {
     auto arith = parsed.arith;
@@ -312,8 +312,7 @@ TEST(DecodeSession, LowestIndexFailingSegmentWinsOnEveryPath) {
     for (int rep = 0; rep < 2; ++rep) {
       EXPECT_EQ(lepton::decode_lepton({bad.data(), bad.size()}).code, want)
           << "one-shot, zeros in segment " << zeros;
-      EXPECT_EQ(lepton::decode_lepton({bad.data(), bad.size()}, serial).code,
-                want)
+      EXPECT_EQ(serial.decode({bad.data(), bad.size()}).code, want)
           << "serial one-shot, zeros in segment " << zeros;
       std::vector<std::uint8_t> out;
       EXPECT_EQ(stream_decode({bad.data(), bad.size()}, frames, &out), want)
@@ -697,6 +696,78 @@ TEST(Sessions, DeadlineAbortsAllSegmentsButSparesOtherSessions) {
   c.feed({lep.data(), lep.size()});
   EXPECT_EQ(c.finish(), ExitCode::kSuccess);
   EXPECT_EQ(sink_c.data, file);
+}
+
+TEST(Sessions, ConcurrentSessionsOnSharedContextMatchSerialOracle) {
+  // More client threads than pool workers, all on one shared context, each
+  // encoding and then stream-decoding in leptond's 64 KiB slices: every
+  // container must equal the serial schedule's (a zero-worker context runs
+  // every segment on the calling thread), and every decode the original —
+  // at every SIMD level in turn.
+  lepton::corpus::CorpusOptions copt;
+  copt.valid_files = 3;
+  copt.min_bytes = 130 << 10;  // the size policy gives each 2 segments
+  copt.max_bytes = 200 << 10;
+  copt.include_anomalies = false;
+  const auto corpus = lepton::corpus::build_corpus(copt);
+  ASSERT_EQ(corpus.size(), 3u);
+
+  struct Job {
+    const std::vector<std::uint8_t>* jpeg;
+    int force_threads;  // 0 = size policy
+    std::vector<std::uint8_t> want;
+  };
+  std::vector<Job> jobs;
+  lepton::CodecContext serial(0);
+  for (const auto& f : corpus) {
+    for (int threads : {0, 1, 4, 8}) {
+      lepton::EncodeOptions opt;
+      opt.force_threads = threads;
+      auto r = serial.encode({f.bytes.data(), f.bytes.size()}, opt);
+      ASSERT_TRUE(r.ok()) << r.message;
+      jobs.push_back({&f.bytes, threads, std::move(r.data)});
+    }
+  }
+
+  lepton::CodecContext shared(2);
+  constexpr int kClients = 6;
+  namespace lu = lepton::util;
+  for (lu::SimdLevel level :
+       {lu::SimdLevel::kScalar, lu::SimdLevel::kSse2, lu::SimdLevel::kAvx2}) {
+    lu::force_simd_level(level);
+    std::atomic<std::size_t> next{0};
+    std::atomic<int> bad_containers{0}, bad_decodes{0};
+    auto client = [&] {
+      for (std::size_t i; (i = next.fetch_add(1)) < jobs.size();) {
+        const Job& job = jobs[i];
+        std::span<const std::uint8_t> jpeg(*job.jpeg);
+        lepton::EncodeOptions opt;
+        opt.force_threads = job.force_threads;
+        lepton::EncodeSession enc(opt, &shared);
+        for (std::size_t off = 0; off < jpeg.size(); off += kFrame) {
+          enc.feed(jpeg.subspan(off, std::min(kFrame, jpeg.size() - off)));
+        }
+        lepton::VectorSink lep;
+        if (enc.finish(lep) != ExitCode::kSuccess || lep.data != job.want) {
+          bad_containers.fetch_add(1);
+          continue;
+        }
+        std::vector<std::size_t> frames(lep.data.size() / kFrame + 1, kFrame);
+        std::vector<std::uint8_t> out;
+        if (stream_decode({lep.data.data(), lep.data.size()}, frames, &out,
+                          nullptr, &shared) != ExitCode::kSuccess ||
+            !std::ranges::equal(out, jpeg)) {
+          bad_decodes.fetch_add(1);
+        }
+      }
+    };
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) clients.emplace_back(client);
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(bad_containers.load(), 0) << lu::simd_level_name(level);
+    EXPECT_EQ(bad_decodes.load(), 0) << lu::simd_level_name(level);
+  }
+  lu::clear_simd_override();
 }
 
 TEST(EncodeSession, DeadlineMidEncodeClassifiesTimeout) {
